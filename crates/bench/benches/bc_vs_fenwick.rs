@@ -1,5 +1,6 @@
-//! Base-store ablation (§4.1 / novelty note): the paper's B^c tree versus
-//! a Fenwick tree and a lazy segment tree on the one-dimensional
+//! Base-store comparison (§4.1): the paper's pointer-based B^c tree at
+//! three fanouts versus its implicit blocked layout (a Fenwick summary
+//! over dense leaf blocks, the store the DDC uses) on the one-dimensional
 //! cumulative workload that forms the DDC's recursion base case.
 //!
 //! ```text
@@ -7,7 +8,7 @@
 //! ```
 
 use ddc_bench::timer::{report, time_quick};
-use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_btree::{BcTree, BlockedBc, CumulativeStore};
 use ddc_workload::rng;
 
 const SIZES: [usize; 2] = [1 << 10, 1 << 16];
@@ -17,8 +18,7 @@ fn stores(values: &[i64]) -> Vec<(&'static str, Box<dyn CumulativeStore<i64>>)> 
         ("bc-f4", Box::new(BcTree::from_values(4, values))),
         ("bc-f16", Box::new(BcTree::from_values(16, values))),
         ("bc-f64", Box::new(BcTree::from_values(64, values))),
-        ("fenwick", Box::new(Fenwick::from_values(values))),
-        ("sparse-seg", Box::new(SparseSegTree::from_values(values))),
+        ("blocked", Box::new(BlockedBc::from_values(values))),
     ]
 }
 

@@ -18,15 +18,14 @@ fn main() {
     let shape = Shape::cube(2, n);
 
     println!("== Sparsity sweep: 256×256 cube, storage by method (KiB) ==\n");
-    let widths = [10usize, 10, 12, 12, 12, 12];
+    let widths = [10usize, 10, 12, 12, 12];
     print_row(
         &[
             "density".into(),
             "cells".into(),
             "prefix-sum".into(),
             "rel-prefix".into(),
-            "ddc(bc)".into(),
-            "ddc(seg)".into(),
+            "ddc".into(),
         ],
         &widths,
     );
@@ -35,16 +34,14 @@ fn main() {
         let a = sparse_array(&shape, density, 100, &mut r);
         let ps = PrefixSumEngine::from_array(&a);
         let rps = RelativePrefixEngine::from_array(&a);
-        let ddc_bc = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
-        let ddc_seg = DdcEngine::from_array_with(&a, DdcConfig::sparse().with_elision(1));
+        let ddc = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
         print_row(
             &[
                 format!("{density}"),
                 format!("{}", a.populated_cells()),
                 format!("{}", ps.heap_bytes() / 1024),
                 format!("{}", rps.heap_bytes() / 1024),
-                format!("{}", ddc_bc.heap_bytes() / 1024),
-                format!("{}", ddc_seg.heap_bytes() / 1024),
+                format!("{}", ddc.heap_bytes() / 1024),
             ],
             &widths,
         );
@@ -54,7 +51,7 @@ fn main() {
     let mut r = rng(777);
     let clusters = random_clusters(2, 4, 1800, 25.0, &mut r);
     let pts = clustered_points(&clusters, 4000, 100, &mut r);
-    let mut cube = ddc_core::GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut cube = ddc_core::GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     for (p, v) in &pts {
         cube.add(p, *v);
     }

@@ -69,7 +69,7 @@ fn main() {
         &[
             "density".into(),
             "cells".into(),
-            "DDC(seg,h1)".into(),
+            "DDC(h1)".into(),
             "BIT".into(),
         ],
         &widths,
@@ -77,7 +77,7 @@ fn main() {
     let shape = Shape::cube(2, 1024);
     for density in [0.0005f64, 0.005, 0.05] {
         let a = sparse_array(&shape, density, 100, &mut rng((density * 1e6) as u64));
-        let ddc = DdcEngine::from_array_with(&a, DdcConfig::sparse().with_elision(1));
+        let ddc = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
         let bit = MultiFenwick::from_array(&a);
         print_row(
             &[
@@ -94,7 +94,7 @@ fn main() {
     // Stream of points pushing the bounding box outward; the BIT has no
     // growth operation — rebuilding from scratch each time is its only
     // option, timed here honestly.
-    let mut ddc = ddc_core::GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut ddc = ddc_core::GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     let mut points: Vec<(Vec<i64>, i64)> = Vec::new();
     let mut r = rng(7);
     let pts = ddc_workload::clustered_points(

@@ -29,7 +29,7 @@ fn head_to_head() {
         &widths,
     );
     let mut ps = GrowablePrefixSum::<i64>::new(&[0, 0]);
-    let mut ddc = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut ddc = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     let mut r = rng(99);
     for wave in 0..4u32 {
         let reach = 16i64 << (2 * wave);
@@ -72,7 +72,7 @@ fn head_to_head() {
 
 fn main() {
     let d = 2usize;
-    let mut cube = GrowableCube::<i64>::new(d, DdcConfig::sparse());
+    let mut cube = GrowableCube::<i64>::new(d, DdcConfig::dynamic());
     let mut r = rng(2024);
 
     println!("§5 growth experiment: star catalog discovered outward in waves\n");

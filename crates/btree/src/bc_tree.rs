@@ -733,10 +733,10 @@ mod tests {
         let values: Vec<i64> = (0..40).map(|i| i * 3 % 17 - 8).collect();
         let bc = BcTree::from_values(4, &values);
         assert_eq!(bc.to_values(), values);
-        // Migrate B^c → Fenwick via to_values.
-        let fen = crate::Fenwick::from_values(&bc.to_values());
+        // Migrate pointer B^c → blocked layout via to_values.
+        let blocked = crate::BlockedBc::from_values(&bc.to_values());
         for i in 0..values.len() {
-            assert_eq!(fen.prefix(i), bc.prefix(i));
+            assert_eq!(blocked.prefix(i), bc.prefix(i));
         }
     }
 

@@ -11,10 +11,16 @@
 //! raw slots from one contiguous block (the truncated tail). Updates
 //! touch one raw slot plus the summary path.
 //!
+//! Leaf blocks materialize on first write: an all-zero block is an
+//! absent entry in the block table and reads as zeros, so a long row-sum
+//! group that a sparse cube (§5) touches at a few positions holds a few
+//! blocks plus the summary (one slot per block), not `k` raw values.
+//! Once every block is live the store reorders them into place and drops
+//! the table, so dense groups keep the plain identity layout.
+//!
 //! Compared to the pointer-based [`crate::BcTree`] this loses positional
-//! insertion (growth requires a rebuild, like [`crate::Fenwick`]) and
-//! wins the constant factor: every access is an index walk over two flat
-//! arrays.
+//! insertion (growth requires a rebuild) and wins the constant factor:
+//! every access is an index walk over flat arrays.
 
 use crate::store::CumulativeStore;
 use ddc_array::{AbelianGroup, OpCounter};
@@ -22,6 +28,9 @@ use ddc_array::{AbelianGroup, OpCounter};
 /// Raw slots per dense leaf block (power of two; the truncated tail
 /// sums at most this many raw values per query).
 pub const DEFAULT_BLOCK: usize = 16;
+
+/// Block-table entry of a block that holds only zeros.
+const ABSENT: u32 = u32::MAX;
 
 /// An implicit blocked B^c layout over group values, 0-based external
 /// indices.
@@ -39,11 +48,14 @@ pub const DEFAULT_BLOCK: usize = 16;
 /// ```
 #[derive(Debug)]
 pub struct BlockedBc<G: AbelianGroup> {
-    /// Raw values, zero-padded to a whole number of blocks.
+    /// Materialized leaf blocks, [`DEFAULT_BLOCK`] slots each.
     raw: Vec<G>,
+    /// Per block: its position in `raw` (in blocks), or [`ABSENT`].
+    /// Empty once every block is live: block `b` then sits at `b · B`.
+    table: Box<[u32]>,
     /// 1-based implicit Fenwick layout over per-block totals;
     /// `summary[0]` is unused padding.
-    summary: Vec<G>,
+    summary: Box<[G]>,
     len: usize,
     counter: OpCounter,
 }
@@ -52,6 +64,7 @@ impl<G: AbelianGroup> Clone for BlockedBc<G> {
     fn clone(&self) -> Self {
         Self {
             raw: self.raw.clone(),
+            table: self.table.clone(),
             summary: self.summary.clone(),
             len: self.len,
             counter: OpCounter::new(),
@@ -63,41 +76,78 @@ impl<G: AbelianGroup> BlockedBc<G> {
     /// A store of `len` zero values.
     pub fn zeroed(len: usize) -> Self {
         let blocks = len.div_ceil(DEFAULT_BLOCK);
+        // A single block starts live: the tree creates a group on its
+        // first write, so a table would be dropped at once.
+        let (raw, table) = if blocks <= 1 {
+            (vec![G::ZERO; blocks * DEFAULT_BLOCK], Box::default())
+        } else {
+            (Vec::new(), vec![ABSENT; blocks].into_boxed_slice())
+        };
         Self {
-            raw: vec![G::ZERO; blocks * DEFAULT_BLOCK],
-            summary: vec![G::ZERO; blocks + 1],
+            raw,
+            table,
+            summary: vec![G::ZERO; blocks + 1].into_boxed_slice(),
             len,
             counter: OpCounter::new(),
         }
     }
 
-    /// Builds from raw values in `O(k)`: one copy plus the Fenwick
-    /// parent-propagation pass over the block totals.
+    /// Builds from raw values in `O(k)`: one copy of every block holding
+    /// a non-zero value plus the Fenwick parent-propagation pass over the
+    /// block totals.
     pub fn from_values(values: &[G]) -> Self {
-        let len = values.len();
-        let blocks = len.div_ceil(DEFAULT_BLOCK);
-        let mut raw = vec![G::ZERO; blocks * DEFAULT_BLOCK];
-        raw[..len].copy_from_slice(values);
-        let mut summary = vec![G::ZERO; blocks + 1];
-        for b in 0..blocks {
-            let base = b * DEFAULT_BLOCK;
-            let sum = raw[base..base + DEFAULT_BLOCK]
-                .iter()
-                .fold(G::ZERO, |acc, &v| acc.add(v));
+        let mut store = Self::zeroed(values.len());
+        let blocks = store.summary.len() - 1;
+        for (b, chunk) in values.chunks(DEFAULT_BLOCK).enumerate() {
+            let mut sum = G::ZERO;
+            if chunk.iter().any(|v| !v.is_zero()) {
+                let base = store.materialize(b);
+                store.raw[base..base + chunk.len()].copy_from_slice(chunk);
+                sum = chunk.iter().fold(G::ZERO, |acc, &v| acc.add(v));
+            }
             let pos = b + 1;
-            summary[pos] = summary[pos].add(sum);
+            store.summary[pos] = store.summary[pos].add(sum);
             let parent = pos + (pos & pos.wrapping_neg());
             if parent <= blocks {
-                let t = summary[pos];
-                summary[parent] = summary[parent].add(t);
+                let t = store.summary[pos];
+                store.summary[parent] = store.summary[parent].add(t);
             }
         }
-        Self {
-            raw,
-            summary,
-            len,
-            counter: OpCounter::new(),
+        store.raw.shrink_to_fit();
+        store
+    }
+
+    /// Start of `block`'s slots in `raw`, or `None` while it is all zero.
+    #[inline]
+    fn block_base(&self, block: usize) -> Option<usize> {
+        match self.table.get(block) {
+            None => Some(block * DEFAULT_BLOCK),
+            Some(&ABSENT) => None,
+            Some(&at) => Some(at as usize * DEFAULT_BLOCK),
         }
+    }
+
+    /// Start of `block`'s slots in `raw`, appending a zero block first
+    /// if it is absent. Materializing the last absent block moves every
+    /// block to its identity position and drops the table.
+    fn materialize(&mut self, block: usize) -> usize {
+        if let Some(base) = self.block_base(block) {
+            return base;
+        }
+        let base = self.raw.len();
+        self.raw.resize(base + DEFAULT_BLOCK, G::ZERO);
+        self.table[block] = (base / DEFAULT_BLOCK) as u32;
+        if self.raw.len() < self.table.len() * DEFAULT_BLOCK {
+            return base;
+        }
+        let mut dense = vec![G::ZERO; self.raw.len()];
+        for (dst, &at) in dense.chunks_mut(DEFAULT_BLOCK).zip(self.table.iter()) {
+            let from = at as usize * DEFAULT_BLOCK;
+            dst.copy_from_slice(&self.raw[from..from + DEFAULT_BLOCK]);
+        }
+        self.raw = dense;
+        self.table = Box::default();
+        block * DEFAULT_BLOCK
     }
 }
 
@@ -126,19 +176,27 @@ impl<G: AbelianGroup> CumulativeStore<G> for BlockedBc<G> {
             summary_reads += 1;
             i &= i - 1;
         }
-        // Truncated tail: contiguous raw slots of the target's block.
-        let base = block * DEFAULT_BLOCK;
-        for &v in &self.raw[base..=index] {
-            acc = acc.add(v);
+        // Truncated tail: contiguous raw slots of the target's block (an
+        // absent block contributes zero and is not read).
+        let mut tail_reads = 0;
+        if let Some(base) = self.block_base(block) {
+            let end = base + index % DEFAULT_BLOCK;
+            for &v in &self.raw[base..=end] {
+                acc = acc.add(v);
+            }
+            tail_reads = (end - base + 1) as u64;
         }
-        self.counter.read(summary_reads + (index - base + 1) as u64);
+        self.counter.read(summary_reads + tail_reads);
         acc
     }
 
     fn value(&self, index: usize) -> G {
         assert!(index < self.len, "index {index} beyond length {}", self.len);
         self.counter.read(1);
-        self.raw[index]
+        match self.block_base(index / DEFAULT_BLOCK) {
+            Some(base) => self.raw[base + index % DEFAULT_BLOCK],
+            None => G::ZERO,
+        }
     }
 
     fn add(&mut self, index: usize, delta: G) {
@@ -146,7 +204,8 @@ impl<G: AbelianGroup> CumulativeStore<G> for BlockedBc<G> {
         if delta.is_zero() {
             return;
         }
-        self.raw[index] = self.raw[index].add(delta);
+        let slot = self.materialize(index / DEFAULT_BLOCK) + index % DEFAULT_BLOCK;
+        self.raw[slot] = self.raw[slot].add(delta);
         let mut writes = 1;
         let blocks = self.summary.len() - 1;
         // Queries Fenwick-walk the blocks *before* the target and then
@@ -168,7 +227,8 @@ impl<G: AbelianGroup> CumulativeStore<G> for BlockedBc<G> {
 
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + (self.raw.capacity() + self.summary.capacity()) * std::mem::size_of::<G>()
+            + (self.raw.capacity() + self.summary.len()) * std::mem::size_of::<G>()
+            + self.table.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -241,6 +301,52 @@ mod tests {
         // ≤ log2(2^20 / B) summary reads + B raw reads.
         let bound = (20 - DEFAULT_BLOCK.trailing_zeros() as u64) + DEFAULT_BLOCK as u64;
         assert!(b.ops().reads <= bound, "read {} values", b.ops().reads);
+    }
+
+    #[test]
+    fn sparse_population_allocates_proportionally() {
+        let len = 1 << 20;
+        let mut b = BlockedBc::<i64>::zeroed(len);
+        let summary_bytes = (len / DEFAULT_BLOCK + 1) * 8;
+        let table_bytes = (len / DEFAULT_BLOCK) * 4;
+        let fixed = std::mem::size_of::<BlockedBc<i64>>() + summary_bytes + table_bytes;
+        assert_eq!(b.heap_bytes(), fixed);
+        b.add(3, 5);
+        b.add(700_000, -2);
+        b.add(700_001, 4);
+        assert!(b.heap_bytes() <= fixed + 2 * 2 * DEFAULT_BLOCK * 8);
+        assert_eq!(b.prefix(2), 0);
+        assert_eq!(b.prefix(699_999), 5);
+        assert_eq!(b.prefix(700_000), 3);
+        assert_eq!(b.prefix(len - 1), 7);
+        assert_eq!(b.value(700_001), 4);
+        assert_eq!(b.value(12_345), 0);
+        // Bulk builds skip all-zero blocks too.
+        let mut values = vec![0i64; 10 * DEFAULT_BLOCK];
+        values[5 * DEFAULT_BLOCK + 1] = 9;
+        let sparse = BlockedBc::from_values(&values);
+        assert_eq!(sparse.raw.len(), DEFAULT_BLOCK);
+        assert_eq!(sparse.prefix(values.len() - 1), 9);
+        assert_eq!(sparse.prefix(5 * DEFAULT_BLOCK), 0);
+    }
+
+    #[test]
+    fn filling_every_block_restores_the_identity_layout() {
+        let blocks = 8;
+        let mut b = BlockedBc::<i64>::zeroed(blocks * DEFAULT_BLOCK);
+        let mut reference = vec![0i64; blocks * DEFAULT_BLOCK];
+        // Touch blocks out of order so the pool order differs from `b`.
+        for (step, block) in [5usize, 0, 7, 2, 6, 1, 4, 3].into_iter().enumerate() {
+            let i = block * DEFAULT_BLOCK + step;
+            b.add(i, step as i64 + 1);
+            reference[i] += step as i64 + 1;
+        }
+        assert!(b.table.is_empty());
+        assert_eq!(b.raw, reference);
+        assert_eq!(b.to_values(), reference);
+        let dense = BlockedBc::from_values(&reference);
+        assert!(dense.table.is_empty());
+        assert_eq!(dense.raw, reference);
     }
 
     #[test]

@@ -2,22 +2,17 @@
 //!
 //! One-dimensional cumulative stores: the paper's Cumulative B-Tree
 //! ([`BcTree`], §4.1) — the base case of the Dynamic Data Cube's recursion
-//! — its implicit blocked layout ([`BlockedBc`], the hot-path default),
-//! and a Fenwick tree ([`Fenwick`]) ablation. All implement
-//! [`CumulativeStore`], the contract the two-dimensional DDC base case is
-//! generic over.
+//! — and its implicit blocked layout ([`BlockedBc`]), which is the store
+//! the tree actually uses for its one-dimensional row-sum groups. Both
+//! implement [`CumulativeStore`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 mod bc_tree;
 mod blocked;
-mod fenwick;
-mod segtree;
 mod store;
 
 pub use bc_tree::{BcTree, DEFAULT_FANOUT, MIN_FANOUT};
 pub use blocked::{BlockedBc, DEFAULT_BLOCK};
-pub use fenwick::Fenwick;
-pub use segtree::SparseSegTree;
 pub use store::CumulativeStore;

@@ -3,10 +3,8 @@
 //! Section 4.1 of the paper replaces the flat row-sum arrays of the Basic
 //! DDC with the Cumulative B-Tree (B^c tree). Any structure that maintains
 //! a sequence of values under point updates while answering *cumulative*
-//! (prefix) sums can play that role; [`CumulativeStore`] abstracts it so
-//! the two-dimensional base case of the Dynamic Data Cube can be
-//! instantiated with either the paper's B^c tree or the Fenwick-tree
-//! ablation.
+//! (prefix) sums can play that role; [`CumulativeStore`] is that contract,
+//! shared by the pointer-based B^c tree and its implicit blocked layout.
 
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 
@@ -17,16 +15,15 @@ use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 ///
 /// # Examples
 ///
-/// All three stores are interchangeable behind this trait:
+/// Both stores are interchangeable behind this trait:
 ///
 /// ```
-/// use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+/// use ddc_btree::{BcTree, BlockedBc, CumulativeStore};
 ///
 /// let values = [3i64, -1, 4, 1, 5];
 /// let stores: Vec<Box<dyn CumulativeStore<i64>>> = vec![
 ///     Box::new(BcTree::from_values(4, &values)),
-///     Box::new(Fenwick::from_values(&values)),
-///     Box::new(SparseSegTree::from_values(&values)),
+///     Box::new(BlockedBc::from_values(&values)),
 /// ];
 /// for s in &stores {
 ///     assert_eq!(s.prefix(2), 6);

@@ -13,8 +13,8 @@ use ddc_baselines::{
     GrowablePrefixSum, MultiFenwick, NaiveEngine, PrefixSumEngine, RelativePrefixEngine,
 };
 use ddc_core::{
-    wal, BaseStore, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig,
-    ShardedCube, SharedCube, WalConfig,
+    wal, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig, ShardedCube,
+    SharedCube, WalConfig,
 };
 use ddc_workload::BoxState;
 
@@ -596,21 +596,9 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
         )),
         Box::new(DdcAdapter::new("ddc-basic", init, DdcConfig::basic())),
         // `dynamic()` is the arena-backed hot path: blocked B^c base over
-        // the flat-arena tree. The explicit base-store variants keep the
-        // pointer-based B^c and the Fenwick ablation in the differential
-        // net, and the elided variant drives the arena's dense leaf
-        // blocks (§4.4) through every trace.
+        // the flat-arena tree. The elided variant drives the arena's
+        // dense leaf blocks (§4.4) through every trace.
         Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-        Box::new(DdcAdapter::new(
-            "ddc-bc16",
-            init,
-            DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 16 }),
-        )),
-        Box::new(DdcAdapter::new(
-            "ddc-fenwick",
-            init,
-            DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-        )),
         Box::new(DdcAdapter::new(
             "ddc-elide1",
             init,

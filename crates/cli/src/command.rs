@@ -26,7 +26,7 @@ pub enum Command {
         /// Cube name.
         name: String,
         /// Engine keyword (`naive`, `prefix`, `relative`, `basic`, `dynamic`,
-        /// `sparse`, or `sharded[N]` for an `N`-way sharded dynamic cube).
+        /// or `sharded[N]` for an `N`-way sharded dynamic cube).
         engine: String,
         /// Dimension specs.
         dims: Vec<DimSpec>,

@@ -39,7 +39,7 @@ struct Slot {
 
 const HELP: &str = "\
 commands:
-  create <cube> engine=<naive|prefix|relative|basic|dynamic|sparse|sharded[N]> \\
+  create <cube> engine=<naive|prefix|relative|basic|dynamic|sharded[N]> \\
          dims=<name:int:lo:hi | name:cat:a|b|c>,…
   add    <cube> <coord…> <amount>      record one observation
   set    <cube> <coord…> <amount>      overwrite a cell's sum
@@ -410,7 +410,6 @@ fn engine_kind(word: &str) -> Result<EngineKind, String> {
         "relative" => EngineKind::RelativePrefix,
         "basic" => EngineKind::BasicDdc,
         "dynamic" => EngineKind::DynamicDdc,
-        "sparse" => EngineKind::CustomDdc(ddc_core::DdcConfig::sparse()),
         other => match other.strip_prefix("sharded") {
             // `sharded` (default shard count) or `shardedN` (explicit).
             Some("") => EngineKind::Sharded {
@@ -524,7 +523,7 @@ mod tests {
         let mut s = Session::new();
         run(
             &mut s,
-            "create m engine=sparse dims=region:cat:north|south,week:int:1:52",
+            "create m engine=dynamic dims=region:cat:north|south,week:int:1:52",
         );
         run(&mut s, "add m north 10 500");
         run(&mut s, "add m south 10 100");

@@ -97,12 +97,12 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
 
     // Growth (growth.grow, growth.doublings) and persistence
     // (persist.save / persist.load / persist.save.bytes).
-    let mut grown = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut grown = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     grown.add(&[0, 0], 1);
     grown.add(&[1 << 10, -(1 << 10)], 1);
     let mut snapshot = Vec::new();
     grown.save(&mut snapshot)?;
-    let reloaded = GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::sparse())?;
+    let reloaded = GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::dynamic())?;
 
     // Keep the cubes observable side effects (and the optimizer honest).
     assert_eq!(reloaded.total(), grown.total());

@@ -9,34 +9,11 @@ pub enum Mode {
     /// `O(n^{d-1})` worst case (§3.3).
     Basic,
     /// The Dynamic Data Cube (§4): row-sum groups are stored in secondary
-    /// structures — a one-dimensional [`BaseStore`] when the group is
-    /// one-dimensional, recursively a `(d-1)`-dimensional Dynamic Data
-    /// Cube otherwise — giving `O(log^d n)` queries *and* updates
-    /// (Theorem 2).
+    /// structures — the B^c tree's implicit blocked layout
+    /// ([`ddc_btree::BlockedBc`]) when the group is one-dimensional,
+    /// recursively a `(d-1)`-dimensional Dynamic Data Cube otherwise —
+    /// giving `O(log^d n)` queries *and* updates (Theorem 2).
     Dynamic,
-}
-
-/// The structure used for one-dimensional row-sum groups (the recursion
-/// base case of §4.2).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BaseStore {
-    /// The B^c tree's implicit blocked layout (the default): dense leaf
-    /// blocks of raw values under a flat Fenwick-layout summary array —
-    /// same asymptotics as [`BaseStore::Bc`], branchless index
-    /// arithmetic instead of pointer descent.
-    Blocked,
-    /// The paper's Cumulative B-Tree (§4.1) with the given fanout `f`.
-    Bc {
-        /// Maximum children per interior node / values per leaf.
-        fanout: usize,
-    },
-    /// Fenwick tree ablation: same asymptotics, flat-array constants, but
-    /// no positional insertion and eager `O(k)` allocation.
-    Fenwick,
-    /// Lazily materialized segment tree: allocates only along update
-    /// paths, which is what makes sparse cubes (§5) occupy memory
-    /// proportional to the populated region.
-    SparseSeg,
 }
 
 /// Sizing of the paged leaf-block backend (see [`crate::pager`]).
@@ -105,8 +82,6 @@ pub enum LeafBackend {
 pub struct DdcConfig {
     /// Basic (§3) or Dynamic (§4) row-sum storage.
     pub mode: Mode,
-    /// Base store for one-dimensional row-sum groups (Dynamic mode only).
-    pub base: BaseStore,
     /// The space optimization of §4.4: the number `h` of tree levels
     /// elided immediately above the leaves. `0` keeps the full tree
     /// (leaf overlay boxes of size `k = 1`); `h ≥ 1` replaces the lowest
@@ -122,7 +97,6 @@ impl Default for DdcConfig {
     fn default() -> Self {
         Self {
             mode: Mode::Dynamic,
-            base: BaseStore::Blocked,
             elide_levels: 0,
             leaf_backend: LeafBackend::Mem,
         }
@@ -131,8 +105,7 @@ impl Default for DdcConfig {
 
 impl DdcConfig {
     /// The paper's §4 structure with defaults (blocked B^c base, no
-    /// elision). [`BaseStore::Bc`] keeps the pointer-based original for
-    /// comparison runs.
+    /// elision).
     pub fn dynamic() -> Self {
         Self::default()
     }
@@ -145,23 +118,9 @@ impl DdcConfig {
         }
     }
 
-    /// A sparse-friendly dynamic configuration (lazy base stores).
-    pub fn sparse() -> Self {
-        Self {
-            base: BaseStore::SparseSeg,
-            ..Self::default()
-        }
-    }
-
     /// Sets the §4.4 level-elision parameter `h`.
     pub fn with_elision(mut self, h: usize) -> Self {
         self.elide_levels = h;
-        self
-    }
-
-    /// Sets the base store.
-    pub fn with_base(mut self, base: BaseStore) -> Self {
-        self.base = base;
         self
     }
 
@@ -209,7 +168,6 @@ impl Default for WalConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_btree::DEFAULT_FANOUT;
 
     #[test]
     fn wal_defaults_verify() {
@@ -222,20 +180,8 @@ mod tests {
     fn defaults_are_the_paper_structure() {
         let c = DdcConfig::default();
         assert_eq!(c.mode, Mode::Dynamic);
-        // The paper's B^c base case, in its implicit blocked layout.
-        assert_eq!(c.base, BaseStore::Blocked);
         assert_eq!(c.elide_levels, 0);
         assert_eq!(c.leaf_block_side(), 2);
-        // The pointer-based original stays selectable.
-        let bc = DdcConfig::dynamic().with_base(BaseStore::Bc {
-            fanout: DEFAULT_FANOUT,
-        });
-        assert_eq!(
-            bc.base,
-            BaseStore::Bc {
-                fanout: DEFAULT_FANOUT
-            }
-        );
     }
 
     #[test]
@@ -243,7 +189,5 @@ mod tests {
         let c = DdcConfig::basic().with_elision(2);
         assert_eq!(c.mode, Mode::Basic);
         assert_eq!(c.leaf_block_side(), 8);
-        let s = DdcConfig::sparse().with_base(BaseStore::Fenwick);
-        assert_eq!(s.base, BaseStore::Fenwick);
     }
 }

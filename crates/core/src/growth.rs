@@ -45,7 +45,7 @@ fn growth_obs() -> &'static GrowthObs {
 ///
 /// // Stars are discovered in any direction (§5): negative coordinates
 /// // grow the cube too, at cost proportional to the populated cells.
-/// let mut sky = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+/// let mut sky = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
 /// sky.add(&[12, -7], 1);
 /// sky.add(&[-40_000, 3], 1);
 /// sky.add(&[5, 90_000], 1);
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn grows_in_every_direction() {
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         let mut reference = HashMap::new();
         let points: [([i64; 2], i64); 6] = [
             ([0, 0], 5),
@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn growth_is_data_proportional_in_memory() {
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         cube.add(&[0, 0], 1);
         cube.add(&[1 << 16, -(1 << 16)], 1); // forces ~17 doublings
         assert!(cube.side() >= 1 << 17);

@@ -37,9 +37,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use concurrent::SharedCube;
-pub use config::{
-    BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, WalConfig, DEFAULT_PAGE_BYTES,
-};
+pub use config::{DdcConfig, LeafBackend, Mode, PagerConfig, WalConfig, DEFAULT_PAGE_BYTES};
 pub use engine::DdcEngine;
 pub use growth::GrowableCube;
 pub use pager::{BufferPool, PoolStats, WalBarrier};

@@ -135,7 +135,7 @@ pub fn shard_queue_drain(cfg: CheckerConfig) -> Report {
 /// final cube/log state must match the sequential oracle.
 pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
-        let cube = SharedDurableCube::<i64, Vec<u8>>::new(1, DdcConfig::sparse(), Vec::new())
+        let cube = SharedDurableCube::<i64, Vec<u8>>::new(1, DdcConfig::dynamic(), Vec::new())
             .expect("create shared durable cube");
         // Each appender cross-checks the log length right after every
         // ack: an ack with no matching record is the bug this hunts.

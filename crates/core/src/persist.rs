@@ -354,7 +354,7 @@ mod tests {
         e.apply_delta(&[4, 6], 100);
         let mut buf = Vec::new();
         e.save(&mut buf).unwrap();
-        let restored = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::sparse()).unwrap();
+        let restored = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
         assert_eq!(restored.shape().dims(), &[9, 13]);
         for p in e.shape().iter_points() {
             assert_eq!(restored.cell(&p), e.cell(&p), "{p:?}");
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn growable_save_load_roundtrip() {
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         cube.add(&[-100, 40], 6);
         cube.add(&[3_000, -2], 9);
         let mut buf = Vec::new();
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn growable_save_load_roundtrip_through_vfs() {
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         cube.add(&[7, -7], 11);
         cube.add(&[0, 4], -2);
         let vfs = MemVfs::new();
@@ -425,18 +425,19 @@ mod tests {
         let restored = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
         assert_eq!(restored.cell(&[1, 2]), 11);
 
-        let mut cube = GrowableCube::<i64>::new(3, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(3, DdcConfig::dynamic());
         cube.add(&[-1, 0, 7], 21);
         let mut buf = Vec::new();
         let written = cube.save(&mut buf).unwrap();
         assert_eq!(written as usize, buf.len());
         for cut in 0..buf.len() {
             assert!(
-                GrowableCube::<i64>::load(&mut &buf[..cut], DdcConfig::sparse()).is_err(),
+                GrowableCube::<i64>::load(&mut &buf[..cut], DdcConfig::dynamic()).is_err(),
                 "truncation at byte {cut} was accepted"
             );
         }
-        let restored = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::sparse()).unwrap();
+        let restored =
+            GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
         assert_eq!(restored.cell(&[-1, 0, 7]), 21);
     }
 

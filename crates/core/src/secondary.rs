@@ -3,19 +3,19 @@
 //! Section 4.2: "the overlay box values of a d-dimensional data cube can
 //! be stored as (d−1)-dimensional data cubes using Dynamic Data Cubes,
 //! recursively; when d = 2, we use the B^c tree to store the row sum
-//! values." [`Secondary`] is that recursion, with three extra arms:
+//! values." [`Secondary`] is that recursion — the B^c tree in its
+//! implicit blocked layout ([`BlockedBc`]) at the base — with two extra
+//! arms:
 //!
 //! * `Flat` — the Basic DDC's direct arrays (§3), kept so the §3.3 cost
 //!   analysis can be measured against §4 on identical trees;
-//! * `Fen` / `Seg` — alternative one-dimensional base stores (Fenwick
-//!   ablation; lazy sparse store for §5 workloads);
 //! * `Empty` — nothing materialized yet: an all-zero group occupies no
 //!   memory, which is how empty regions of a sparse cube stay free (§5).
 
 use ddc_array::{AbelianGroup, OpCounter};
-use ddc_btree::{BcTree, BlockedBc, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_btree::{BlockedBc, CumulativeStore};
 
-use crate::config::{BaseStore, DdcConfig, Mode};
+use crate::config::{DdcConfig, Mode};
 use crate::flat_face::FlatFace;
 use crate::tree::DdcTree;
 
@@ -27,16 +27,9 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Empty,
     /// Basic mode (§3): cumulative values stored directly.
     Flat(FlatFace<G>),
-    /// Dynamic mode base case, default layout: the B^c tree flattened
-    /// into implicit blocked arrays (branchless hot path).
+    /// Dynamic mode base case (§4.1): the B^c tree flattened into
+    /// implicit blocked arrays (branchless hot path).
     Blocked(BlockedBc<G>),
-    /// Dynamic mode base case (§4.1): one-dimensional group in the
-    /// pointer-based B^c tree.
-    Bc(BcTree<G>),
-    /// One-dimensional group in a Fenwick tree (ablation).
-    Fen(Fenwick<G>),
-    /// One-dimensional group in a lazy segment tree (sparse workloads).
-    Seg(SparseSegTree<G>),
     /// Dynamic mode, `d − 1 ≥ 2`: the group is itself a Dynamic Data Cube
     /// (§4.2's secondary trees).
     Tree(Box<DdcTree<G>>),
@@ -51,12 +44,7 @@ impl<G: AbelianGroup> Secondary<G> {
             Mode::Basic => Secondary::Flat(FlatFace::zeroed(ddc_array::Shape::cube(face_dims, k))),
             Mode::Dynamic => {
                 if face_dims == 1 {
-                    match config.base {
-                        BaseStore::Blocked => Secondary::Blocked(BlockedBc::zeroed(k)),
-                        BaseStore::Bc { fanout } => Secondary::Bc(BcTree::zeroed(fanout, k)),
-                        BaseStore::Fenwick => Secondary::Fen(Fenwick::zeroed(k)),
-                        BaseStore::SparseSeg => Secondary::Seg(SparseSegTree::zeroed(k)),
-                    }
+                    Secondary::Blocked(BlockedBc::zeroed(k))
                 } else {
                     Secondary::Tree(Box::new(DdcTree::new(face_dims, k, *config)))
                 }
@@ -79,18 +67,7 @@ impl<G: AbelianGroup> Secondary<G> {
             }
             Mode::Dynamic => {
                 if raw.shape().ndim() == 1 {
-                    match config.base {
-                        BaseStore::Blocked => {
-                            Secondary::Blocked(BlockedBc::from_values(raw.as_slice()))
-                        }
-                        BaseStore::Bc { fanout } => {
-                            Secondary::Bc(BcTree::from_values(fanout, raw.as_slice()))
-                        }
-                        BaseStore::Fenwick => Secondary::Fen(Fenwick::from_values(raw.as_slice())),
-                        BaseStore::SparseSeg => {
-                            Secondary::Seg(SparseSegTree::from_values(raw.as_slice()))
-                        }
-                    }
+                    Secondary::Blocked(BlockedBc::from_values(raw.as_slice()))
                 } else {
                     Secondary::Tree(Box::new(DdcTree::from_array_sized(raw, k, *config)))
                 }
@@ -104,10 +81,12 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => G::ZERO,
             Secondary::Flat(f) => f.prefix(idx, counter),
-            Secondary::Blocked(t) => absorb_read(t, idx[0], counter),
-            Secondary::Bc(t) => absorb_read(t, idx[0], counter),
-            Secondary::Fen(t) => absorb_read(t, idx[0], counter),
-            Secondary::Seg(t) => absorb_read(t, idx[0], counter),
+            Secondary::Blocked(t) => {
+                let before = t.ops();
+                let v = t.prefix(idx[0]);
+                counter.absorb(t.ops() - before);
+                v
+            }
             Secondary::Tree(t) => {
                 let before = t.ops();
                 let v = t.prefix_sum(idx);
@@ -133,10 +112,11 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => unreachable!("materialized above"),
             Secondary::Flat(f) => f.add(idx, delta, counter),
-            Secondary::Blocked(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Bc(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Fen(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Seg(t) => absorb_write(t, idx[0], delta, counter),
+            Secondary::Blocked(t) => {
+                let before = t.ops();
+                t.add(idx[0], delta);
+                counter.absorb(t.ops() - before);
+            }
             Secondary::Tree(t) => {
                 let before = t.ops();
                 t.apply_delta(idx, delta);
@@ -145,40 +125,18 @@ impl<G: AbelianGroup> Secondary<G> {
         }
     }
 
-    /// Heap bytes attributable to this group.
+    /// Heap bytes held *behind* this group's slot. The slot itself
+    /// (`size_of::<Secondary<G>>()`) is billed by its owner, so the
+    /// inline `BlockedBc` header is not counted a second time; the boxed
+    /// `DdcTree` header lives on the heap and is.
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
             Secondary::Empty => 0,
             Secondary::Flat(f) => f.heap_bytes(),
-            Secondary::Blocked(t) => t.heap_bytes(),
-            Secondary::Bc(t) => t.heap_bytes(),
-            Secondary::Fen(t) => t.heap_bytes(),
-            Secondary::Seg(t) => t.heap_bytes(),
+            Secondary::Blocked(t) => t.heap_bytes() - std::mem::size_of::<BlockedBc<G>>(),
             Secondary::Tree(t) => t.heap_bytes(),
         }
     }
-}
-
-fn absorb_read<G: AbelianGroup, S: CumulativeStore<G>>(
-    store: &S,
-    idx: usize,
-    counter: &OpCounter,
-) -> G {
-    let before = store.ops();
-    let v = store.prefix(idx);
-    counter.absorb(store.ops() - before);
-    v
-}
-
-fn absorb_write<G: AbelianGroup, S: CumulativeStore<G>>(
-    store: &mut S,
-    idx: usize,
-    delta: G,
-    counter: &OpCounter,
-) {
-    let before = store.ops();
-    store.add(idx, delta);
-    counter.absorb(store.ops() - before);
 }
 
 #[cfg(test)]
@@ -196,24 +154,22 @@ mod tests {
 
     #[test]
     fn one_dimensional_base_stores_agree() {
-        for base in [
-            BaseStore::Blocked,
-            BaseStore::Bc { fanout: 3 },
-            BaseStore::Fenwick,
-            BaseStore::SparseSeg,
-        ] {
-            let config = DdcConfig::dynamic().with_base(base);
-            let c = OpCounter::new();
-            let mut s = Secondary::<i64>::Empty;
-            s.add(&[2], 10, 8, &config, &c);
-            s.add(&[0], 4, 8, &config, &c);
-            s.add(&[7], -1, 8, &config, &c);
-            assert_eq!(s.prefix(&[0], &c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[1], &c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[2], &c), 14, "{base:?}");
-            assert_eq!(s.prefix(&[7], &c), 13, "{base:?}");
-            assert!(s.heap_bytes() > 0);
+        // The blocked base case against the pointer-based §4.1 B^c tree.
+        let config = DdcConfig::dynamic();
+        let c = OpCounter::new();
+        let mut s = Secondary::<i64>::Empty;
+        let mut reference = ddc_btree::BcTree::<i64>::zeroed(3, 8);
+        for (i, delta) in [(2, 10), (0, 4), (7, -1)] {
+            s.add(&[i], delta, 8, &config, &c);
+            reference.add(i, delta);
         }
+        assert!(matches!(s, Secondary::Blocked(_)));
+        for i in 0..8 {
+            assert_eq!(s.prefix(&[i], &c), reference.prefix(i), "prefix({i})");
+        }
+        // One raw block plus a two-slot summary, all behind the slot.
+        let slots = ddc_btree::DEFAULT_BLOCK + 2;
+        assert_eq!(s.heap_bytes(), slots * std::mem::size_of::<i64>());
     }
 
     #[test]

@@ -836,14 +836,14 @@ fn apply_to_growable<G: AbelianGroup + ValueCodec>(
 /// ```
 /// use ddc_core::{wal, DdcConfig, DurableCube, WalConfig};
 ///
-/// let mut cube = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::sparse(), Vec::new()).unwrap();
+/// let mut cube = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new()).unwrap();
 /// cube.add(&[3, -5], 7).unwrap();
 /// cube.add(&[100, 2], 1).unwrap();
 ///
 /// // Simulate a kill: all that survives is the log bytes.
 /// let log = cube.into_wal().into_inner();
 /// let (recovered, report) =
-///     wal::recover::<i64>(2, None, &log, DdcConfig::sparse(), WalConfig::default()).unwrap();
+///     wal::recover::<i64>(2, None, &log, DdcConfig::dynamic(), WalConfig::default()).unwrap();
 /// assert_eq!(report.replayed, 2);
 /// assert_eq!(recovered.cell(&[3, -5]), 7);
 /// assert_eq!(recovered.total(), 8);
@@ -1398,7 +1398,7 @@ mod tests {
     #[test]
     fn recover_replays_snapshot_plus_log() {
         // State at checkpoint time…
-        let mut base = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut base = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         base.add(&[1, 1], 10);
         base.add(&[-4, 0], 3);
         let mut snapshot = Vec::new();
@@ -1418,7 +1418,7 @@ mod tests {
             2,
             Some(&snapshot),
             &log,
-            DdcConfig::sparse(),
+            DdcConfig::dynamic(),
             WalConfig::default(),
         )
         .unwrap();
@@ -1495,7 +1495,7 @@ mod tests {
             WAL,
             Some(SNAP),
             2,
-            DdcConfig::sparse(),
+            DdcConfig::dynamic(),
             WalConfig::default(),
             RetryPolicy::instant(),
         )

@@ -244,7 +244,7 @@ mod tests {
     fn star_catalog_style_usage() {
         let mut cube: DynamicDataCube<i64> = DynamicDataCube::new(
             vec![DynamicDimension::int("x"), DynamicDimension::int("y")],
-            DdcConfig::sparse(),
+            DdcConfig::dynamic(),
         );
         cube.add(&[5.into(), 5.into()], 1).unwrap();
         cube.add(&[(-10_000).into(), 99.into()], 1).unwrap();

@@ -18,8 +18,8 @@ pub enum EngineKind {
     BasicDdc,
     /// The Dynamic Data Cube (§4): `O(log^d n)` query and update.
     DynamicDdc,
-    /// A Dynamic Data Cube with an explicit configuration (base store,
-    /// level elision).
+    /// A Dynamic Data Cube with an explicit configuration (Basic or
+    /// Dynamic mode, level elision).
     CustomDdc(DdcConfig),
     /// A dense d-dimensional Fenwick tree: same `O(log^d n)` asymptotics
     /// as the DDC on static cubes, flat-array constants, but no growth,
@@ -97,7 +97,7 @@ mod tests {
             .map(|k| k.build(shape.clone()))
             .collect();
         engines
-            .push(EngineKind::CustomDdc(DdcConfig::sparse().with_elision(1)).build(shape.clone()));
+            .push(EngineKind::CustomDdc(DdcConfig::dynamic().with_elision(1)).build(shape.clone()));
         for e in engines.iter_mut() {
             for (p, v) in updates {
                 e.apply_delta(&p, v);

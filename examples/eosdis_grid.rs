@@ -15,7 +15,7 @@ use ddc_workload::{clustered_points, random_clusters, rng};
 fn main() {
     // 2-D grid: 0.01-degree cells, longitude ∈ [-18000, 18000),
     // latitude ∈ [-9000, 9000). Measure: methane production units.
-    let mut grid = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut grid = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     let mut r = rng(7);
 
     // Industrial/agricultural centers: tight clusters on the populated

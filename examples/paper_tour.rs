@@ -93,7 +93,7 @@ fn main() {
     }
 
     section("§5  Growth in any direction, sparse data");
-    let mut sky = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut sky = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     sky.add(&[0, 0], 1);
     sky.add(&[-40_000, 25_000], 1);
     sky.add(&[90_000, -3], 1);

@@ -11,9 +11,9 @@ use ddc_core::{DdcConfig, GrowableCube};
 use ddc_workload::{clustered_points, random_clusters, rng};
 
 fn main() {
-    // 3-D sky cube counting stars per sector, sparse base stores so empty
-    // space costs nothing.
-    let mut sky = GrowableCube::<i64>::new(3, DdcConfig::sparse());
+    // 3-D sky cube counting stars per sector; row-sum groups materialize
+    // on first update, so empty space costs nothing.
+    let mut sky = GrowableCube::<i64>::new(3, DdcConfig::dynamic());
     let mut r = rng(42);
 
     // Discovery proceeds in surveys, each probing farther out — in every

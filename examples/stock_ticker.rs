@@ -22,7 +22,7 @@ fn main() {
             DynamicDimension::bucketed("minute", 60),
             DynamicDimension::int("tick_move"),
         ],
-        DdcConfig::sparse(),
+        DdcConfig::dynamic(),
     );
 
     let symbols = ["ACME", "GLOBEX", "INITECH", "UMBRELLA", "WONKA", "STARK"];

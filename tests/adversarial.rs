@@ -4,7 +4,7 @@
 
 use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
 use ddc_baselines::NaiveEngine;
-use ddc_core::{BaseStore, DdcConfig, DdcEngine};
+use ddc_core::{DdcConfig, DdcEngine};
 use ddc_workload::{rng, skewed_updates, uniform_regions};
 
 fn shadowed(
@@ -68,7 +68,7 @@ fn corner_hammering() {
 fn single_cell_oscillation() {
     // One cell takes alternating ±deltas; intermediate states pass
     // through zero (exercising is_zero short-circuits).
-    stress(Shape::cube(2, 32), DdcConfig::sparse(), |_, _| vec![17, 3]);
+    stress(Shape::cube(2, 32), DdcConfig::dynamic(), |_, _| vec![17, 3]);
 }
 
 #[test]
@@ -77,10 +77,7 @@ fn zipf_hotspots_under_every_config() {
     for config in [
         DdcConfig::dynamic(),
         DdcConfig::basic(),
-        DdcConfig::sparse(),
         DdcConfig::dynamic().with_elision(2),
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-        DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 3 }),
     ] {
         let mut engine = shadowed(&shape, config);
         let mut r = rng(77);

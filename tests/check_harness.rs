@@ -10,7 +10,7 @@ use ddc_check::{
     check_interleavings, fault_sweep, fault_sweep_growable, fuzz, fuzz_with, roster_with_bug,
     run_trace, run_trace_on, CheckEngine, DdcAdapter,
 };
-use ddc_core::{BaseStore, DdcConfig, DdcEngine, GrowableCube, ShardConfig};
+use ddc_core::{DdcConfig, DdcEngine, GrowableCube, ShardConfig};
 use ddc_tests::for_cases;
 use ddc_workload::{BoxState, CheckTrace, CheckTraceConfig};
 
@@ -102,9 +102,9 @@ fn injected_off_by_one_is_caught_shrunk_and_replayable() {
 
 /// Committed seeded traces (satellite of the arena rewrite): three
 /// checked-in op streams — one per dimensionality — replay with zero
-/// divergences across the full roster, which now includes the explicit
-/// arena base-store variants (`ddc-bc16`, `ddc-fenwick`, `ddc-elide1`).
-/// The arena-only roster additionally reproduces its pinned replay
+/// divergences across the full roster. The arena-only roster (the
+/// default tree and its elided variant `ddc-elide1`) additionally
+/// reproduces its pinned replay
 /// checksums exactly, a determinism anchor for the flat-arena hot path:
 /// any change to descent order, box materialization, or free-list reuse
 /// that alters an answer shows up here as a checksum drift with the
@@ -114,16 +114,6 @@ fn committed_traces_replay_clean_and_pin_arena_checksums() {
     let arena_roster = |init: &BoxState| -> Vec<Box<dyn CheckEngine>> {
         vec![
             Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-            Box::new(DdcAdapter::new(
-                "ddc-bc16",
-                init,
-                DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 16 }),
-            )),
-            Box::new(DdcAdapter::new(
-                "ddc-fenwick",
-                init,
-                DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-            )),
             Box::new(DdcAdapter::new(
                 "ddc-elide1",
                 init,
@@ -137,22 +127,22 @@ fn committed_traces_replay_clean_and_pin_arena_checksums() {
             "seed_d1",
             include_str!("traces/seed_d1.trace"),
             120,
-            196,
-            2684,
+            98,
+            1342,
         ),
         (
             "seed_d2",
             include_str!("traces/seed_d2.trace"),
             160,
-            224,
-            -8132,
+            112,
+            -4066,
         ),
         (
             "seed_d3",
             include_str!("traces/seed_d3.trace"),
             140,
-            216,
-            -3692,
+            108,
+            -1846,
         ),
     ];
     for (name, text, ops, comparisons, checksum) in pinned {
@@ -268,7 +258,7 @@ for_cases! {
         }
         let mut buf = Vec::new();
         cube.save(&mut buf).unwrap();
-        let restored = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::sparse()).unwrap();
+        let restored = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
         for (p, v) in oracle.entries() {
             assert_eq!(restored.cell(&p), v, "cell {p:?} after grow+save+load");
         }

@@ -50,7 +50,7 @@ fn engine_snapshot_roundtrip() {
     assert_eq!(entries.len(), base.populated_cells());
 
     // Restore into a *different* configuration; answers must match.
-    let restored = DdcEngine::from_entries(shape.clone(), DdcConfig::sparse(), &entries);
+    let restored = DdcEngine::from_entries(shape.clone(), DdcConfig::dynamic(), &entries);
     for q in uniform_regions(&shape, 32, &mut rng(61)) {
         assert_eq!(restored.range_sum(&q), original.range_sum(&q), "{q:?}");
     }
@@ -59,7 +59,7 @@ fn engine_snapshot_roundtrip() {
 
 #[test]
 fn growable_snapshot_roundtrip_preserves_logical_coords() {
-    let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     let points: [([i64; 2], i64); 5] = [
         ([0, 0], 1),
         ([-40, 3], 7),

@@ -3,7 +3,7 @@
 //! interleavings of updates and queries, for d ∈ 1..=4.
 
 use ddc_array::{NdArray, RangeSumEngine, Region, Shape};
-use ddc_core::{BaseStore, DdcConfig};
+use ddc_core::DdcConfig;
 use ddc_olap::EngineKind;
 use ddc_tests::{for_cases, DdcRng};
 
@@ -53,11 +53,7 @@ fn scale(frac: &[f64], dims: &[usize]) -> Vec<usize> {
 
 fn all_kinds() -> Vec<EngineKind> {
     let mut v = EngineKind::ALL.to_vec();
-    v.push(EngineKind::CustomDdc(DdcConfig::sparse()));
     v.push(EngineKind::CustomDdc(DdcConfig::dynamic().with_elision(2)));
-    v.push(EngineKind::CustomDdc(
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-    ));
     v.push(EngineKind::CustomDdc(DdcConfig::basic().with_elision(1)));
     v
 }

@@ -3,17 +3,15 @@
 //! across every configuration, and its invariants hold after any growth
 //! sequence.
 
-use ddc_core::{BaseStore, DdcConfig, GrowableCube};
+use ddc_core::{DdcConfig, GrowableCube};
 use ddc_tests::for_cases;
 use std::collections::HashMap;
 
 fn configs() -> Vec<DdcConfig> {
     vec![
         DdcConfig::dynamic(),
-        DdcConfig::sparse(),
         DdcConfig::basic(),
         DdcConfig::dynamic().with_elision(2),
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
     ]
 }
 
@@ -83,7 +81,7 @@ for_cases! {
         let far: Vec<i64> = (0..2).map(|_| rng.gen_range(-5000i64..5000)).collect();
         let v1 = rng.gen_range(1i64..100);
         let v2 = rng.gen_range(1i64..100);
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         cube.add(&first, v1);
         cube.add(&far, v2); // may trigger several doublings
         // Re-touch the first point after growth.

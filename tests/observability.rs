@@ -128,13 +128,13 @@ fn instrumented_hot_paths_report_nonzero() {
     assert_eq!(report.replayed, 4);
 
     // Growth and persistence.
-    let mut grown = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+    let mut grown = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
     grown.add(&[0, 0], 1);
     grown.add(&[-300, 300], 1);
     let mut snapshot = Vec::new();
     grown.save(&mut snapshot).expect("save");
     let reloaded =
-        GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::sparse()).expect("load");
+        GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::dynamic()).expect("load");
     assert_eq!(reloaded.total(), 2);
 
     let histograms: std::collections::BTreeMap<&'static str, u64> = obs::registry()

@@ -133,7 +133,7 @@ fn heap_accounting_is_monotone_in_data() {
     let mut cube: DataCube<i64> = CubeBuilder::new()
         .dimension(Dimension::int_range("x", 0, 255))
         .dimension(Dimension::int_range("y", 0, 255))
-        .engine(EngineKind::CustomDdc(ddc_core::DdcConfig::sparse()))
+        .engine(EngineKind::CustomDdc(ddc_core::DdcConfig::dynamic()))
         .build();
     let empty = cube.heap_bytes();
     let mut r = rng(1);

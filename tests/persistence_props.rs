@@ -23,7 +23,7 @@ for_cases! {
         }
         let mut buf = Vec::new();
         e.save(&mut buf).unwrap();
-        let restored = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::sparse()).unwrap();
+        let restored = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
         for p in shape.iter_points() {
             assert_eq!(restored.cell(&p), e.cell(&p));
         }
@@ -39,7 +39,7 @@ for_cases! {
                 (p, rng.gen_range(-100i64..100))
             })
             .collect();
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
         for (p, v) in &points {
             cube.add(p, *v);
         }
@@ -127,7 +127,7 @@ fn snapshot_after_two_direction_growth_restores_exactly() {
 
     let mut buf = Vec::new();
     cube.save(&mut buf).unwrap();
-    let restored = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::sparse()).unwrap();
+    let restored = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap();
 
     for (p, v) in cube.entries() {
         assert_eq!(restored.cell(&p), v, "{p:?}");

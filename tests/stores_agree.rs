@@ -1,9 +1,10 @@
-//! Property tests: the three one-dimensional cumulative stores (B^c tree,
-//! Fenwick tree, sparse segment tree) agree with a scanned `Vec` reference
-//! under arbitrary update sequences, fanouts, and insertions.
+//! Property tests: the one-dimensional cumulative stores (the pointer
+//! B^c tree and its implicit blocked layout) agree with a scanned `Vec`
+//! reference under arbitrary update sequences, fanouts, and insertions.
 
-use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_btree::{BcTree, BlockedBc, CumulativeStore, DEFAULT_BLOCK};
 use ddc_tests::{for_cases, DdcRng};
+use std::collections::HashSet;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -37,8 +38,7 @@ for_cases! {
         let mut reference = vec![0i64; len];
         let mut stores: Vec<Box<dyn CumulativeStore<i64>>> = vec![
             Box::new(BcTree::zeroed(fanout, len)),
-            Box::new(Fenwick::zeroed(len)),
-            Box::new(SparseSegTree::zeroed(len)),
+            Box::new(BlockedBc::zeroed(len)),
         ];
         for op in &ops {
             match op {
@@ -130,27 +130,18 @@ for_cases! {
         }
     }
 
-    fn fenwick_push_matches_from_values(rng, cases = 64) {
-        let count = rng.gen_range(1usize..120);
-        let values: Vec<i64> = (0..count).map(|_| rng.gen_range(-100i64..100)).collect();
-        let bulk = Fenwick::from_values(&values);
-        let mut grown = Fenwick::<i64>::zeroed(0);
-        for &v in &values {
-            grown.push(v);
-        }
-        for i in 0..values.len() {
-            assert_eq!(bulk.prefix(i), grown.prefix(i), "prefix({})", i);
-        }
-    }
-
-    fn sparse_seg_memory_tracks_population(rng, cases = 64) {
+    fn blocked_memory_tracks_population(rng, cases = 64) {
         let count = rng.gen_range(1usize..20);
         let indices: Vec<usize> = (0..count).map(|_| rng.gen_range(0usize..10_000)).collect();
-        let mut t = SparseSegTree::<i64>::zeroed(10_000);
+        let mut t = BlockedBc::<i64>::zeroed(10_000);
+        let fixed = t.heap_bytes();
         for &i in &indices {
             t.add(i, 1);
         }
-        // Path length is ⌈log2 10000⌉ + 1 = 15 nodes max per insert.
-        assert!(t.node_count() <= indices.len() * 15);
+        // Only touched blocks materialize; the raw pool grows by doubling.
+        let blocks: HashSet<usize> = indices.iter().map(|i| i / DEFAULT_BLOCK).collect();
+        let raw_bytes = 2 * blocks.len() * DEFAULT_BLOCK * std::mem::size_of::<i64>();
+        assert!(t.heap_bytes() <= fixed + raw_bytes);
+        assert_eq!(t.total(), count as i64);
     }
 }
