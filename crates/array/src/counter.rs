@@ -12,15 +12,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Relaxed atomics so `&self` query paths can record reads and engines
 /// remain `Sync` — concurrent readers may share a structure (see the
-/// `parallel_queries` integration test). Counts are exact under a single
-/// writer, which is the measurement regime of the paper.
+/// `parallel_queries` integration test). Each `read`/`write` is one
+/// atomic add, and the totals are exact under any mix of threads as long
+/// as every operation adds only its own touches. Hot paths therefore
+/// count into a stack-local [`OpSnapshot`] and [`absorb`](OpCounter::absorb)
+/// it once per operation; diffing shared snapshots around a sub-step
+/// would also bill another thread's touches made in between.
 #[derive(Debug, Default)]
 pub struct OpCounter {
     reads: AtomicU64,
     writes: AtomicU64,
 }
 
-/// An immutable snapshot of an [`OpCounter`].
+/// Read and write totals: a snapshot of an [`OpCounter`], or one
+/// operation's non-atomic tally before it is absorbed into one.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct OpSnapshot {
     /// Stored values read (array cells, row sums, subtree sums, …).
@@ -79,11 +84,17 @@ impl OpCounter {
         self.writes.store(0, Ordering::Relaxed);
     }
 
-    /// Adds another counter's totals into this one (used when an engine
-    /// aggregates sub-structure counters).
+    /// Adds another counter's totals, or one operation's tally, into
+    /// this one, skipping the atomic add for a side that is zero
+    /// (queries add reads only).
+    #[inline]
     pub fn absorb(&self, snap: OpSnapshot) {
-        self.read(snap.reads);
-        self.write(snap.writes);
+        if snap.reads > 0 {
+            self.read(snap.reads);
+        }
+        if snap.writes > 0 {
+            self.write(snap.writes);
+        }
     }
 }
 

@@ -23,7 +23,7 @@
 //! every access is an index walk over flat arrays.
 
 use crate::store::CumulativeStore;
-use ddc_array::{AbelianGroup, OpCounter};
+use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 
 /// Raw slots per dense leaf block (power of two; the truncated tail
 /// sums at most this many raw values per query).
@@ -117,6 +117,62 @@ impl<G: AbelianGroup> BlockedBc<G> {
         store
     }
 
+    /// [`CumulativeStore::prefix`], counting its reads into `tally`
+    /// instead of the store's own counter (the tree's per-operation
+    /// accounting).
+    pub fn prefix_counted(&self, index: usize, tally: &mut OpSnapshot) -> G {
+        assert!(
+            index < self.len,
+            "prefix index {index} beyond length {}",
+            self.len
+        );
+        let block = index / DEFAULT_BLOCK;
+        // Whole blocks before the target: implicit Fenwick prefix.
+        let mut acc = G::ZERO;
+        let mut i = block;
+        let mut summary_reads = 0;
+        while i > 0 {
+            acc = acc.add(self.summary[i]);
+            summary_reads += 1;
+            i &= i - 1;
+        }
+        // Truncated tail: contiguous raw slots of the target's block (an
+        // absent block contributes zero and is not read).
+        let mut tail_reads = 0;
+        if let Some(base) = self.block_base(block) {
+            let end = base + index % DEFAULT_BLOCK;
+            for &v in &self.raw[base..=end] {
+                acc = acc.add(v);
+            }
+            tail_reads = (end - base + 1) as u64;
+        }
+        tally.reads += summary_reads + tail_reads;
+        acc
+    }
+
+    /// [`CumulativeStore::add`], counting its writes into `tally`.
+    pub fn add_counted(&mut self, index: usize, delta: G, tally: &mut OpSnapshot) {
+        assert!(index < self.len, "index {index} beyond length {}", self.len);
+        if delta.is_zero() {
+            return;
+        }
+        let slot = self.materialize(index / DEFAULT_BLOCK) + index % DEFAULT_BLOCK;
+        self.raw[slot] = self.raw[slot].add(delta);
+        let mut writes = 1;
+        let blocks = self.summary.len() - 1;
+        // Queries Fenwick-walk the blocks *before* the target and then
+        // scan the target block raw, so no prefix ever reads a summary
+        // position ≥ `blocks`; stopping the update path there skips the
+        // dead root entry (and all summary work for single-block stores).
+        let mut i = index / DEFAULT_BLOCK + 1;
+        while i < blocks {
+            self.summary[i] = self.summary[i].add(delta);
+            writes += 1;
+            i += i & i.wrapping_neg();
+        }
+        tally.writes += writes;
+    }
+
     /// Start of `block`'s slots in `raw`, or `None` while it is all zero.
     #[inline]
     fn block_base(&self, block: usize) -> Option<usize> {
@@ -161,33 +217,10 @@ impl<G: AbelianGroup> CumulativeStore<G> for BlockedBc<G> {
     }
 
     fn prefix(&self, index: usize) -> G {
-        assert!(
-            index < self.len,
-            "prefix index {index} beyond length {}",
-            self.len
-        );
-        let block = index / DEFAULT_BLOCK;
-        // Whole blocks before the target: implicit Fenwick prefix.
-        let mut acc = G::ZERO;
-        let mut i = block;
-        let mut summary_reads = 0;
-        while i > 0 {
-            acc = acc.add(self.summary[i]);
-            summary_reads += 1;
-            i &= i - 1;
-        }
-        // Truncated tail: contiguous raw slots of the target's block (an
-        // absent block contributes zero and is not read).
-        let mut tail_reads = 0;
-        if let Some(base) = self.block_base(block) {
-            let end = base + index % DEFAULT_BLOCK;
-            for &v in &self.raw[base..=end] {
-                acc = acc.add(v);
-            }
-            tail_reads = (end - base + 1) as u64;
-        }
-        self.counter.read(summary_reads + tail_reads);
-        acc
+        let mut tally = OpSnapshot::default();
+        let v = self.prefix_counted(index, &mut tally);
+        self.counter.absorb(tally);
+        v
     }
 
     fn value(&self, index: usize) -> G {
@@ -200,25 +233,9 @@ impl<G: AbelianGroup> CumulativeStore<G> for BlockedBc<G> {
     }
 
     fn add(&mut self, index: usize, delta: G) {
-        assert!(index < self.len, "index {index} beyond length {}", self.len);
-        if delta.is_zero() {
-            return;
-        }
-        let slot = self.materialize(index / DEFAULT_BLOCK) + index % DEFAULT_BLOCK;
-        self.raw[slot] = self.raw[slot].add(delta);
-        let mut writes = 1;
-        let blocks = self.summary.len() - 1;
-        // Queries Fenwick-walk the blocks *before* the target and then
-        // scan the target block raw, so no prefix ever reads a summary
-        // position ≥ `blocks`; stopping the update path there skips the
-        // dead root entry (and all summary work for single-block stores).
-        let mut i = index / DEFAULT_BLOCK + 1;
-        while i < blocks {
-            self.summary[i] = self.summary[i].add(delta);
-            writes += 1;
-            i += i & i.wrapping_neg();
-        }
-        self.counter.write(writes);
+        let mut tally = OpSnapshot::default();
+        self.add_counted(index, delta, &mut tally);
+        self.counter.absorb(tally);
     }
 
     fn counter(&self) -> &OpCounter {

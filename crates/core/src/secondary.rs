@@ -12,7 +12,7 @@
 //! * `Empty` — nothing materialized yet: an all-zero group occupies no
 //!   memory, which is how empty regions of a sparse cube stay free (§5).
 
-use ddc_array::{AbelianGroup, OpCounter};
+use ddc_array::{AbelianGroup, OpSnapshot};
 use ddc_btree::{BlockedBc, CumulativeStore};
 
 use crate::config::{DdcConfig, Mode};
@@ -76,23 +76,14 @@ impl<G: AbelianGroup> Secondary<G> {
     }
 
     /// Cumulative group value at `idx` (each coordinate `< k`); `Empty`
-    /// groups are implicit zeros.
-    pub(crate) fn prefix(&self, idx: &[usize], counter: &OpCounter) -> G {
+    /// groups are implicit zeros. Reads are counted into the caller's
+    /// per-operation `tally`.
+    pub(crate) fn prefix(&self, idx: &[usize], tally: &mut OpSnapshot) -> G {
         match self {
             Secondary::Empty => G::ZERO,
-            Secondary::Flat(f) => f.prefix(idx, counter),
-            Secondary::Blocked(t) => {
-                let before = t.ops();
-                let v = t.prefix(idx[0]);
-                counter.absorb(t.ops() - before);
-                v
-            }
-            Secondary::Tree(t) => {
-                let before = t.ops();
-                let v = t.prefix_sum(idx);
-                counter.absorb(t.ops() - before);
-                v
-            }
+            Secondary::Flat(f) => f.prefix(idx, tally),
+            Secondary::Blocked(t) => t.prefix_counted(idx[0], tally),
+            Secondary::Tree(t) => t.prefix_counted(idx, tally),
         }
     }
 
@@ -104,24 +95,16 @@ impl<G: AbelianGroup> Secondary<G> {
         delta: G,
         k: usize,
         config: &DdcConfig,
-        counter: &OpCounter,
+        tally: &mut OpSnapshot,
     ) {
         if matches!(self, Secondary::Empty) {
             *self = Self::materialize(idx.len(), k, config);
         }
         match self {
             Secondary::Empty => unreachable!("materialized above"),
-            Secondary::Flat(f) => f.add(idx, delta, counter),
-            Secondary::Blocked(t) => {
-                let before = t.ops();
-                t.add(idx[0], delta);
-                counter.absorb(t.ops() - before);
-            }
-            Secondary::Tree(t) => {
-                let before = t.ops();
-                t.apply_delta(idx, delta);
-                counter.absorb(t.ops() - before);
-            }
+            Secondary::Flat(f) => f.add(idx, delta, tally),
+            Secondary::Blocked(t) => t.add_counted(idx[0], delta, tally),
+            Secondary::Tree(t) => t.apply_delta_counted(idx, delta, tally),
         }
     }
 
@@ -145,10 +128,10 @@ mod tests {
 
     #[test]
     fn empty_reads_zero_and_costs_nothing() {
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let s = Secondary::<i64>::Empty;
-        assert_eq!(s.prefix(&[3], &c), 0);
-        assert_eq!(c.snapshot().reads, 0);
+        assert_eq!(s.prefix(&[3], &mut c), 0);
+        assert_eq!(c.reads, 0);
         assert_eq!(s.heap_bytes(), 0);
     }
 
@@ -156,16 +139,16 @@ mod tests {
     fn one_dimensional_base_stores_agree() {
         // The blocked base case against the pointer-based §4.1 B^c tree.
         let config = DdcConfig::dynamic();
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
         let mut reference = ddc_btree::BcTree::<i64>::zeroed(3, 8);
         for (i, delta) in [(2, 10), (0, 4), (7, -1)] {
-            s.add(&[i], delta, 8, &config, &c);
+            s.add(&[i], delta, 8, &config, &mut c);
             reference.add(i, delta);
         }
         assert!(matches!(s, Secondary::Blocked(_)));
         for i in 0..8 {
-            assert_eq!(s.prefix(&[i], &c), reference.prefix(i), "prefix({i})");
+            assert_eq!(s.prefix(&[i], &mut c), reference.prefix(i), "prefix({i})");
         }
         // One raw block plus a two-slot summary, all behind the slot.
         let slots = ddc_btree::DEFAULT_BLOCK + 2;
@@ -175,23 +158,23 @@ mod tests {
     #[test]
     fn basic_mode_materializes_flat() {
         let config = DdcConfig::basic();
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
-        s.add(&[1, 1], 5, 4, &config, &c);
+        s.add(&[1, 1], 5, 4, &config, &mut c);
         assert!(matches!(s, Secondary::Flat(_)));
-        assert_eq!(s.prefix(&[0, 0], &c), 0);
-        assert_eq!(s.prefix(&[3, 3], &c), 5);
+        assert_eq!(s.prefix(&[0, 0], &mut c), 0);
+        assert_eq!(s.prefix(&[3, 3], &mut c), 5);
     }
 
     #[test]
     fn counter_absorbs_substore_costs() {
         let config = DdcConfig::dynamic();
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
-        s.add(&[5], 1, 16, &config, &c);
-        assert!(c.snapshot().writes > 0);
-        let before = c.snapshot();
-        let _ = s.prefix(&[10], &c);
-        assert!(c.snapshot().reads > before.reads);
+        s.add(&[5], 1, 16, &config, &mut c);
+        assert!(c.writes > 0);
+        let before = c;
+        let _ = s.prefix(&[10], &mut c);
+        assert!(c.reads > before.reads);
     }
 }

@@ -15,6 +15,12 @@
 //!   terms and fan out across the shards whose slab intersects the
 //!   query, optionally on [`std::thread::scope`], combining the partial
 //!   sums with the group operation.
+//! * Each slab is an overlay box of the cube (§3.1): next to its engine
+//!   it keeps its **row-sum group along dimension 0**, the `(d − 1)`-
+//!   dimensional sums of its whole rows. A term that covers the slab in
+//!   dimension 0 reads one group value instead of descending the slab's
+//!   tree, so a query descends only the ≤ `2^d` slab trees its corners
+//!   cut, whatever the shard count.
 //!
 //! ## Consistency
 //!
@@ -66,6 +72,7 @@ use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Sha
 use crate::config::DdcConfig;
 use crate::engine::DdcEngine;
 use crate::obs;
+use crate::secondary::Secondary;
 
 /// Cube-wide observability handles (queue-wait vs. commit latency — the
 /// two halves of a sharded write's life), cached off the registry lock.
@@ -189,8 +196,11 @@ pub struct MetricsSnapshot {
     pub ops_applied: u64,
     /// Group commits performed.
     pub batches_flushed: u64,
-    /// Queries answered (partial prefix sums served by this shard).
+    /// Prefix terms this shard answered by descending its tree.
     pub queries: u64,
+    /// Prefix terms this shard answered from its row-sum group (terms
+    /// covering the whole slab in dimension 0).
+    pub face_reads: u64,
     /// Estimated nanoseconds the exclusive engine lock was held for
     /// flushes — the contention budget readers compete against.
     pub lock_hold_nanos: u64,
@@ -215,6 +225,7 @@ struct ShardMetrics {
     ops_applied: crate::sync::untracked::AtomicU64,
     batches_flushed: crate::sync::untracked::AtomicU64,
     queries: crate::sync::untracked::AtomicU64,
+    face_reads: crate::sync::untracked::AtomicU64,
     lock_hold_nanos: crate::sync::untracked::AtomicU64,
     queue_depth_max: crate::sync::untracked::AtomicU64,
     ops_rejected: crate::sync::untracked::AtomicU64,
@@ -243,12 +254,93 @@ struct ShardQueue<G: AbelianGroup> {
     health: Health,
 }
 
+/// The slab's row-sum group along dimension 0 (§3.1): the sums of its
+/// whole rows, indexed by the other `d − 1` coordinates.
+#[derive(Debug)]
+enum SlabRows<G: AbelianGroup> {
+    /// `d = 1`: the slab is a single row; its total.
+    Total(G),
+    /// `d ≥ 2`: the group as one overlay-box face of side `k` — the
+    /// blocked B^c store at `d = 2`, a `(d − 1)`-dimensional tree above.
+    Group { face: Secondary<G>, k: usize },
+}
+
+/// What a shard's engine lock guards: the slab's tree and its row sums,
+/// updated together by every group commit. Reads and writes of the row
+/// sums count into the engine's counter.
+#[derive(Debug)]
+struct Slab<G: AbelianGroup> {
+    engine: DdcEngine<G>,
+    rows: SlabRows<G>,
+}
+
+impl<G: AbelianGroup> Slab<G> {
+    fn new(shape: Shape, config: DdcConfig) -> Self {
+        let rows = match shape.dims()[1..].iter().max() {
+            None => SlabRows::Total(G::ZERO),
+            Some(&n) => SlabRows::Group {
+                face: Secondary::Empty,
+                k: n.next_power_of_two(),
+            },
+        };
+        Self {
+            engine: DdcEngine::with_config(shape, config),
+            rows,
+        }
+    }
+
+    /// The slab's local prefix sum at `local`: one row-sum group value
+    /// when `local[0]` is the slab's top row, a tree descent otherwise.
+    fn prefix(&self, local: &[usize]) -> G {
+        if local[0] + 1 < self.engine.shape().dim(0) {
+            return self.engine.prefix_sum(local);
+        }
+        let mut tally = OpSnapshot::default();
+        let v = match &self.rows {
+            SlabRows::Total(total) => {
+                tally.reads += 1;
+                *total
+            }
+            SlabRows::Group { face, .. } => face.prefix(&local[1..], &mut tally),
+        };
+        self.engine.counter().absorb(tally);
+        v
+    }
+
+    /// Applies a coalesced batch to the tree and the row sums.
+    fn apply_batch(&mut self, batch: &[(Vec<usize>, G)]) {
+        self.engine.apply_batch(batch);
+        let config = *self.engine.config();
+        let mut tally = OpSnapshot::default();
+        for (point, delta) in batch {
+            match &mut self.rows {
+                SlabRows::Total(total) => {
+                    *total = total.add(*delta);
+                    tally.writes += 1;
+                }
+                SlabRows::Group { face, k } => {
+                    face.add(&point[1..], *delta, *k, &config, &mut tally);
+                }
+            }
+        }
+        self.engine.counter().absorb(tally);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let rows = match &self.rows {
+            SlabRows::Total(_) => 0,
+            SlabRows::Group { face, .. } => face.heap_bytes(),
+        };
+        self.engine.heap_bytes() + rows
+    }
+}
+
 #[derive(Debug)]
 struct Shard<G: AbelianGroup> {
     /// Owned dimension-0 rows: `rows_lo..rows_hi` of the logical cube.
     rows_lo: usize,
     rows_hi: usize,
-    engine: RwLock<DdcEngine<G>>,
+    engine: RwLock<Slab<G>>,
     /// Queue + supervisor state. Lock order: `queue` before `engine` —
     /// commits hold the queue while applying so a concurrent reader that
     /// drains the queue cannot miss deltas enqueued behind it.
@@ -277,13 +369,13 @@ fn lock_queue<G: AbelianGroup>(shard: &Shard<G>) -> MutexGuard<'_, ShardQueue<G>
 /// Read-locks a shard's engine, recovering from poisoning. A poisoned
 /// engine means a commit panicked mid-apply; the shard is quarantined by
 /// then, and exact repair belongs to WAL recovery, not to refusing reads.
-fn read_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockReadGuard<'_, DdcEngine<G>> {
+fn read_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockReadGuard<'_, Slab<G>> {
     shard.engine.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Write-locks a shard's engine, recovering from poisoning (see
 /// [`read_engine`]).
-fn write_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockWriteGuard<'_, DdcEngine<G>> {
+fn write_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockWriteGuard<'_, Slab<G>> {
     shard.engine.write().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -328,7 +420,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
                 Shard {
                     rows_lo,
                     rows_hi,
-                    engine: RwLock::new(DdcEngine::with_config(Shape::new(&dims), config)),
+                    engine: RwLock::new(Slab::new(Shape::new(&dims), config)),
                     queue: Mutex::new(ShardQueue {
                         deltas: Vec::new(),
                         health: Health::Healthy,
@@ -666,7 +758,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
     fn read_through(
         shard: &Shard<G>,
         queued: impl FnOnce(&[(Vec<usize>, G)]) -> G,
-        read: impl FnOnce(&DdcEngine<G>) -> G,
+        read: impl FnOnce(&Slab<G>) -> G,
     ) -> G {
         if shard.pending.load(Ordering::Acquire) > 0 {
             let queue = lock_queue(shard);
@@ -687,12 +779,33 @@ impl<G: AbelianGroup> ShardedCube<G> {
         }
         let mut local = point.to_vec();
         local[0] = point[0].min(shard.rows_hi - 1) - shard.rows_lo;
-        shard.metrics.queries.fetch_add(1, Ordering::Relaxed);
+        Self::count_terms(shard, [&local]);
         Some(Self::read_through(
             shard,
             |queue| Self::queued_prefix(queue, &local),
-            |engine| engine.prefix_sum(&local),
+            |slab| slab.prefix(&local),
         ))
+    }
+
+    /// Bills local prefix terms to the shard's metrics: tree descents to
+    /// `queries`, top-row terms (answered by the row sums) to
+    /// `face_reads`.
+    fn count_terms<'a>(shard: &Shard<G>, locals: impl IntoIterator<Item = &'a Vec<usize>>) {
+        let top = shard.rows_hi - shard.rows_lo - 1;
+        let (mut faces, mut descents) = (0, 0);
+        for local in locals {
+            if local[0] == top {
+                faces += 1;
+            } else {
+                descents += 1;
+            }
+        }
+        if descents > 0 {
+            shard.metrics.queries.fetch_add(descents, Ordering::Relaxed);
+        }
+        if faces > 0 {
+            shard.metrics.face_reads.fetch_add(faces, Ordering::Relaxed);
+        }
     }
 
     /// The shard's signed contribution to all Figure-4 terms of one
@@ -721,10 +834,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
         // Only a +/- pair can collapse (the pair differs solely in its
         // dimension-0 coordinate), so surviving signs are unit.
         debug_assert!(mine.iter().all(|(s, _)| s.abs() == 1));
-        shard
-            .metrics
-            .queries
-            .fetch_add(mine.len() as u64, Ordering::Relaxed);
+        Self::count_terms(shard, mine.iter().map(|(_, local)| local));
         Self::read_through(
             shard,
             |queue| {
@@ -737,9 +847,9 @@ impl<G: AbelianGroup> ShardedCube<G> {
                     }
                 })
             },
-            |engine| {
+            |slab| {
                 mine.iter().fold(G::ZERO, |acc, (sign, local)| {
-                    let p = engine.prefix_sum(local);
+                    let p = slab.prefix(local);
                     if *sign > 0 {
                         acc.add(p)
                     } else {
@@ -823,7 +933,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
                     .filter(|(p, _)| *p == local)
                     .fold(G::ZERO, |acc, (_, d)| acc.add(*d))
             },
-            |engine| engine.cell(&local),
+            |slab| slab.engine.cell(&local),
         )
     }
 
@@ -832,8 +942,8 @@ impl<G: AbelianGroup> ShardedCube<G> {
         self.flush();
         let mut out = Vec::new();
         for shard in &self.shards {
-            let engine = read_engine(shard);
-            for (mut p, v) in engine.entries() {
+            let slab = read_engine(shard);
+            for (mut p, v) in slab.engine.entries() {
                 p[0] += shard.rows_lo;
                 out.push((p, v));
             }
@@ -854,6 +964,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
                 ops_applied: shard.metrics.ops_applied.load(Ordering::Relaxed),
                 batches_flushed: shard.metrics.batches_flushed.load(Ordering::Relaxed),
                 queries: shard.metrics.queries.load(Ordering::Relaxed),
+                face_reads: shard.metrics.face_reads.load(Ordering::Relaxed),
                 lock_hold_nanos: shard.metrics.lock_hold_nanos.load(Ordering::Relaxed),
                 queue_depth_max: shard.metrics.queue_depth_max.load(Ordering::Relaxed),
                 ops_rejected: shard.metrics.ops_rejected.load(Ordering::Relaxed),
@@ -868,7 +979,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
     /// tracking what was already absorbed so deltas are counted once.
     fn sync_counter(&self) {
         for shard in &self.shards {
-            let snap = read_engine(shard).ops();
+            let snap = read_engine(shard).engine.ops();
             let prev_r = shard.seen_reads.swap(snap.reads, Ordering::Relaxed);
             let prev_w = shard.seen_writes.swap(snap.writes, Ordering::Relaxed);
             self.counter.read(snap.reads.saturating_sub(prev_r));
@@ -917,7 +1028,7 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
 
     fn reset_ops(&self) {
         for shard in &self.shards {
-            read_engine(shard).reset_ops();
+            read_engine(shard).engine.reset_ops();
             shard.seen_reads.store(0, Ordering::Relaxed);
             shard.seen_writes.store(0, Ordering::Relaxed);
         }
@@ -942,12 +1053,12 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
 
     fn metrics_text(&self) -> Option<String> {
         let mut out = String::from(
-            "shard  rows          enqueued   applied  batches   queries  rejected  depth^  \
-             panics  restarts  replayed  lock-held\n",
+            "shard  rows          enqueued   applied  batches   queries     faces  rejected  \
+             depth^  panics  restarts  replayed  lock-held\n",
         );
         for m in self.metrics() {
             out.push_str(&format!(
-                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>7.3}ms\n",
+                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>7.3}ms\n",
                 m.shard,
                 m.rows_lo,
                 m.rows_hi,
@@ -955,6 +1066,7 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
                 m.ops_applied,
                 m.batches_flushed,
                 m.queries,
+                m.face_reads,
                 m.ops_rejected,
                 m.queue_depth_max,
                 m.worker_panics,
@@ -1251,6 +1363,118 @@ mod tests {
         assert_eq!(c.ops(), OpSnapshot::default());
     }
 
+    /// Every prefix of `c` and a spread of ranges agree with `plain`.
+    fn assert_matches(c: &ShardedCube<i64>, plain: &DdcEngine<i64>, what: &str) {
+        let shape = c.shape.clone();
+        for p in shape.iter_points() {
+            assert_eq!(
+                c.query_prefix(&p),
+                plain.prefix_sum(&p),
+                "{what}: prefix {p:?}"
+            );
+        }
+        let pts: Vec<Vec<usize>> = shape.iter_points().collect();
+        for (i, a) in pts.iter().enumerate().step_by(7) {
+            let b = &pts[(i * 13 + 5) % pts.len()];
+            let lo: Vec<usize> = a.iter().zip(b).map(|(x, y)| *x.min(y)).collect();
+            let hi: Vec<usize> = a.iter().zip(b).map(|(x, y)| *x.max(y)).collect();
+            let r = Region::new(&lo, &hi);
+            assert_eq!(
+                c.query(&r),
+                plain.range_sum(&r),
+                "{what}: range {lo:?}..={hi:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn slab_row_sums_match_unsharded_engine() {
+        // d = 1, 2, 3 cover the three row-sum arms: the slab total, the
+        // blocked B^c face and a secondary tree.
+        for dims in [vec![20usize], vec![13, 10], vec![9, 6, 5]] {
+            for shards in [1usize, 3, 4] {
+                let shape = Shape::new(&dims);
+                let mut plain = DdcEngine::<i64>::dynamic(shape.clone());
+                let c = ShardedCube::<i64>::new(
+                    shape.clone(),
+                    DdcConfig::dynamic(),
+                    ShardConfig {
+                        shards,
+                        batch_capacity: 5,
+                        max_restarts: 10,
+                        ..ShardConfig::default()
+                    },
+                );
+                let mut x = 7u64;
+                // One seeded update, at `row` in dimension 0 if given.
+                let mut step =
+                    |c: &ShardedCube<i64>, plain: &mut DdcEngine<i64>, row: Option<usize>| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let mut p: Vec<usize> = dims
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &n)| ((x >> (20 + 9 * i)) as usize) % n)
+                            .collect();
+                        p[0] = row.unwrap_or(p[0]);
+                        let v = ((x >> 50) % 19) as i64 - 9;
+                        c.update(&p, v);
+                        plain.apply_delta(&p, v);
+                    };
+                let what = format!("{dims:?} x {shards} shards");
+                for _ in 0..23 {
+                    step(&c, &mut plain, None);
+                }
+                assert_matches(&c, &plain, &format!("{what}, queued"));
+                c.flush();
+                assert_matches(&c, &plain, &format!("{what}, flushed"));
+                // A failed commit leaves engine and row sums untouched and
+                // the deltas queued; the retry lands them in both.
+                c.fail_next_flushes(0, 2);
+                for i in 0..17 {
+                    step(&c, &mut plain, (i % 3 == 0).then_some(0));
+                }
+                assert!(c.metrics()[0].worker_panics > 0, "{what}");
+                assert_matches(&c, &plain, &format!("{what}, quarantined"));
+                c.flush();
+                assert_matches(&c, &plain, &format!("{what}, retried"));
+            }
+        }
+    }
+
+    #[test]
+    fn range_queries_descend_at_most_two_to_the_d_slab_trees() {
+        for shards in [1usize, 2, 4, 8, 32] {
+            let c = cube(shards, 3);
+            for i in 0..32 {
+                c.update(&[i, (i * 5) % 16], 1 + i as i64);
+            }
+            let before = c.metrics();
+            let q = Region::new(&[3, 2], &[28, 13]);
+            let expect: i64 = (3..=28usize)
+                .filter(|i| (2..=13).contains(&((i * 5) % 16)))
+                .map(|i| 1 + i as i64)
+                .sum();
+            assert_eq!(c.query(&q), expect, "{shards} shards");
+            let after = c.metrics();
+            let delta = |f: fn(&MetricsSnapshot) -> u64| -> u64 {
+                after.iter().zip(&before).map(|(a, b)| f(a) - f(b)).sum()
+            };
+            let descents = delta(|m| m.queries);
+            let faces = delta(|m| m.face_reads);
+            assert!(descents <= 4, "{shards} shards: {descents} descents");
+            // A slab whose top row lies in rows 3..=28 answers the two
+            // upper corners from its row sums; below that they cancel.
+            let topped = c
+                .shards
+                .iter()
+                .filter(|s| (3..=28).contains(&(s.rows_hi - 1)))
+                .count() as u64;
+            assert_eq!(faces, 2 * topped, "{shards} shards");
+        }
+    }
+
     #[test]
     fn metrics_text_is_one_row_per_shard() {
         let c = cube(3, 2);
@@ -1258,6 +1482,7 @@ mod tests {
         let text = RangeSumEngine::metrics_text(&c).expect("sharded cube reports metrics");
         assert_eq!(text.lines().count(), 1 + 3, "{text}");
         assert!(text.contains("enqueued"), "{text}");
+        assert!(text.contains("faces"), "{text}");
         assert!(text.contains("restarts"), "{text}");
     }
 

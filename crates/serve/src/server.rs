@@ -29,11 +29,38 @@ use crate::protocol::{self, ServeRequest};
 use ddc_core::obs;
 use ddc_core::sync::atomic::{AtomicUsize, Ordering};
 use ddc_core::sync::thread::{spawn, JoinHandle};
-use ddc_core::sync::{Arc, Condvar, Mutex, PoisonError};
+use ddc_core::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+/// The server's `/metrics` counters, resolved once so the per-request
+/// path never takes the registry lock.
+struct ServeObs {
+    accepted: Arc<obs::Counter>,
+    shed: Arc<obs::Counter>,
+    idle_reaped: Arc<obs::Counter>,
+    parse_errors: Arc<obs::Counter>,
+    requests: Arc<obs::Counter>,
+    bad_requests: Arc<obs::Counter>,
+    rejected_admission: Arc<obs::Counter>,
+    rejected_backpressure: Arc<obs::Counter>,
+}
+
+fn serve_obs() -> &'static ServeObs {
+    static OBS: OnceLock<ServeObs> = OnceLock::new();
+    OBS.get_or_init(|| ServeObs {
+        accepted: obs::counter("serve.conn.accepted"),
+        shed: obs::counter("serve.conn.shed"),
+        idle_reaped: obs::counter("serve.conn.idle_reaped"),
+        parse_errors: obs::counter("serve.parse_errors"),
+        requests: obs::counter("serve.requests"),
+        bad_requests: obs::counter("serve.bad_requests"),
+        rejected_admission: obs::counter("serve.rejected.admission"),
+        rejected_backpressure: obs::counter("serve.rejected.backpressure"),
+    })
+}
 
 /// Tuning knobs for [`Server`].
 #[derive(Clone, Debug)]
@@ -167,8 +194,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> ddc_core::sync::MutexGuard<'a, T> {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let accepted = obs::counter("serve.conn.accepted");
-    let shed = obs::counter("serve.conn.shed");
+    let ServeObs { accepted, shed, .. } = serve_obs();
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -243,7 +269,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // and a slot under `max_connections`.
                 if let Some(idle) = shared.config.idle_timeout {
                     if last_activity.elapsed() >= idle {
-                        obs::counter("serve.conn.idle_reaped").inc();
+                        serve_obs().idle_reaped.inc();
                         return;
                     }
                 }
@@ -261,7 +287,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 Ok(None) => break,
                 Err(e) => {
                     // Fatal framing error: answer and close.
-                    obs::counter("serve.parse_errors").inc();
+                    serve_obs().parse_errors.inc();
                     write_http_response(&mut out, e.status(), &format!("{e}\n"));
                     let _ = stream.write_all(&out);
                     return;
@@ -279,11 +305,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Executes one frame, appending the wire response to `out`.
 fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut Vec<u8>) {
-    obs::counter("serve.requests").inc();
+    let counters = serve_obs();
+    counters.requests.inc();
     let request = match protocol::decode(frame) {
         Ok(r) => r,
         Err(e) => {
-            obs::counter("serve.bad_requests").inc();
+            counters.bad_requests.inc();
             return reply(frame, out, e.status(), &e.detail());
         }
     };
@@ -315,7 +342,7 @@ fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut
         Frame::Line(_) => &session.tenant,
     };
     if !shared.admission.admit(tenant, shared.now_ns()) {
-        obs::counter("serve.rejected.admission").inc();
+        counters.rejected_admission.inc();
         return reply(frame, out, 429, &format!("rate-limited tenant {tenant:?}"));
     }
     let backend = &shared.backend;
@@ -329,7 +356,7 @@ fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut
                 None => Ok(format!("applied {}", outcome.applied)),
                 Some(e) => {
                     if matches!(e, BackendError::Busy(_)) {
-                        obs::counter("serve.rejected.backpressure").inc();
+                        counters.rejected_backpressure.inc();
                     }
                     return reply(
                         frame,
@@ -357,7 +384,7 @@ fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut
         Ok(body) => reply(frame, out, 200, &body),
         Err(e) => {
             if matches!(e, BackendError::Busy(_)) {
-                obs::counter("serve.rejected.backpressure").inc();
+                counters.rejected_backpressure.inc();
             }
             reply(frame, out, e.status(), e.detail())
         }
