@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Relaxed atomics so `&self` query paths can record reads and engines
 /// remain `Sync` — concurrent readers may share a structure (see the
-/// `parallel_queries` integration test). Each `read`/`write` is one
+/// `concurrency_and_snapshots` integration test). Each `read`/`write` is one
 /// atomic add, and the totals are exact under any mix of threads as long
 /// as every operation adds only its own touches. Hot paths therefore
 /// count into a stack-local [`OpSnapshot`] and [`absorb`](OpCounter::absorb)

@@ -1,15 +1,17 @@
 //! Shard-scaling sweep: aggregate read throughput of the [`ShardedCube`]
-//! against the single-lock [`SharedCube`] baseline under §1's deployment
-//! mix — analysts issuing drill-down slice queries while a live feed
-//! applies point updates.
+//! against a single-lock baseline under §1's deployment mix — analysts
+//! issuing drill-down slice queries while a live feed applies point
+//! updates.
 //!
 //! The feed is **open loop**: a paced stream of single records at a fixed
-//! target rate that both engines must sustain, skewed toward a small hot
-//! set (best-seller cells). The engines differ only in protocol:
+//! target rate that every configuration must sustain, skewed toward a
+//! small hot set (best-seller cells). The configurations differ only in
+//! protocol:
 //!
-//! * `SharedCube` applies each record under the global write lock as it
-//!   arrives (the S32 per-op protocol);
-//! * `ShardedCube` enqueues each record on the owning shard and group
+//! * the single-lock baseline (`shared` rows) is a one-shard cube at
+//!   `batch_capacity: 1`: each record commits under the one engine
+//!   write lock as it arrives;
+//! * `sharded ×S` enqueues each record on the owning shard and group
 //!   commits at `batch_capacity`, so the hot-set records coalesce before
 //!   ever touching a shard engine, and readers read through the queues.
 //!
@@ -39,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use ddc_array::{Region, Shape};
 use ddc_bench::json::{BenchReport, MetricKind};
-use ddc_core::{DdcConfig, DurableCube, GrowableCube, ShardConfig, ShardedCube, SharedCube};
+use ddc_core::{DdcConfig, DurableCube, GrowableCube, ShardConfig, ShardedCube};
 use ddc_workload::{rng, uniform_updates, DdcRng};
 
 const N: usize = 1024;
@@ -272,42 +274,30 @@ fn main() {
          Reads: ≤16-row dimension-0 slices.\n"
     );
 
+    // The single-lock baseline, then the sharded sweep: (label, metric
+    // key, config) per row group.
+    let single_lock = ShardConfig {
+        shards: 1,
+        batch_capacity: 1,
+        ..ShardConfig::default()
+    };
+    let mut groups = vec![(
+        "shared (1 lock)".to_string(),
+        "shared".to_string(),
+        single_lock,
+    )];
+    for shards in [1usize, 2, 4, 8] {
+        groups.push((
+            format!("sharded ×{shards}"),
+            format!("sharded{shards}"),
+            ShardConfig::with_shards(shards),
+        ));
+    }
     let mut shared_q = 0.0f64;
     let mut sharded4_q = 0.0f64;
-
-    for &rate in &RATES {
-        let cube = SharedCube::<i64>::new(shape.clone(), DdcConfig::dynamic());
-        cube.apply_batch(&seed);
-        let score = drive(
-            |i| {
-                std::hint::black_box(cube.range_sum(&regions[i % regions.len()]));
-            },
-            |stop, lagging| {
-                paced_feed(stop, lagging, rate, |i| {
-                    let (p, delta) = &feed[i % feed.len()];
-                    cube.apply_delta(p, *delta);
-                })
-            },
-        );
-        print_row("shared (1 lock)", rate, &score);
-        report.push(
-            format!("queries_per_s.shared.rate{rate}"),
-            MetricKind::Throughput,
-            score.queries_per_s,
-        );
-        if rate == RATES[2] {
-            shared_q = score.queries_per_s;
-        }
-    }
-    println!();
-
-    for shards in [1usize, 2, 4, 8] {
+    for (label, key, shard_config) in &groups {
         for &rate in &RATES {
-            let cube = ShardedCube::<i64>::new(
-                shape.clone(),
-                DdcConfig::dynamic(),
-                ShardConfig::with_shards(shards),
-            );
+            let cube = ShardedCube::<i64>::new(shape.clone(), DdcConfig::dynamic(), *shard_config);
             cube.update_batch(&seed);
             cube.flush();
             let score = drive(
@@ -321,14 +311,18 @@ fn main() {
                     })
                 },
             );
-            print_row(&format!("sharded ×{shards}"), rate, &score);
+            print_row(label, rate, &score);
             report.push(
-                format!("queries_per_s.sharded{shards}.rate{rate}"),
+                format!("queries_per_s.{key}.rate{rate}"),
                 MetricKind::Throughput,
                 score.queries_per_s,
             );
-            if shards == 4 && rate == RATES[2] {
-                sharded4_q = score.queries_per_s;
+            if rate == RATES[2] {
+                match key.as_str() {
+                    "shared" => shared_q = score.queries_per_s,
+                    "sharded4" => sharded4_q = score.queries_per_s,
+                    _ => {}
+                }
             }
         }
         println!();

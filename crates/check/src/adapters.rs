@@ -14,7 +14,7 @@ use ddc_baselines::{
 };
 use ddc_core::{
     wal, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig, ShardedCube,
-    SharedCube, WalConfig,
+    WalConfig,
 };
 use ddc_workload::BoxState;
 
@@ -206,80 +206,6 @@ impl CheckEngine for DdcAdapter {
             .map_err(|e| format!("save: {e}"))?;
         self.engine =
             DdcEngine::load(&mut buf.as_slice(), self.config).map_err(|e| format!("load: {e}"))?;
-        Ok(())
-    }
-}
-
-/// Adapter for the lock-guarded [`SharedCube`].
-pub struct SharedAdapter {
-    cube: SharedCube<i64>,
-    origin: Vec<i64>,
-    config: DdcConfig,
-}
-
-impl SharedAdapter {
-    /// Fresh shared cube over `init` under `config`.
-    pub fn new(init: &BoxState, config: DdcConfig) -> Self {
-        Self {
-            cube: SharedCube::new(Shape::new(&init.dims), config),
-            origin: init.origin.clone(),
-            config,
-        }
-    }
-}
-
-impl CheckEngine for SharedAdapter {
-    fn name(&self) -> &str {
-        "shared-cube"
-    }
-
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.cube.apply_delta(&phys(point, &self.origin), delta);
-    }
-
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        let p = phys(point, &self.origin);
-        self.cube.with_write(|e| e.set(&p, value))
-    }
-
-    fn cell(&self, point: &[i64]) -> i64 {
-        self.cube.cell(&phys(point, &self.origin))
-    }
-
-    fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.cube.range_sum(&Region::new(
-            &phys(lo, &self.origin),
-            &phys(hi, &self.origin),
-        ))
-    }
-
-    fn grow(&mut self, new_box: &BoxState) {
-        let shifted: Vec<(Vec<usize>, i64)> = self
-            .cube
-            .entries()
-            .into_iter()
-            .map(|(p, v)| {
-                let q: Vec<usize> = p
-                    .iter()
-                    .zip(self.origin.iter().zip(&new_box.origin))
-                    .map(|(&c, (&old_o, &new_o))| (c as i64 + old_o - new_o) as usize)
-                    .collect();
-                (q, v)
-            })
-            .collect();
-        self.cube = SharedCube::new(Shape::new(&new_box.dims), self.config);
-        self.cube.apply_batch(&shifted);
-        self.origin = new_box.origin.clone();
-    }
-
-    fn save_load(&mut self) -> Result<(), String> {
-        let config = self.config;
-        let loaded = self.cube.with_read(|e| {
-            let mut buf = Vec::new();
-            e.save(&mut buf).map_err(|x| format!("save: {x}"))?;
-            DdcEngine::load(&mut buf.as_slice(), config).map_err(|x| format!("load: {x}"))
-        })?;
-        self.cube = SharedCube::from_engine(loaded);
         Ok(())
     }
 }
@@ -615,7 +541,18 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
                 .with_elision(1)
                 .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256)),
         )),
-        Box::new(SharedAdapter::new(init, DdcConfig::dynamic())),
+        // One shard at batch 1: every update commits through the single
+        // engine lock before it returns (write-through locking).
+        Box::new(ShardedAdapter::new(
+            "sharded(1×1)",
+            init,
+            DdcConfig::dynamic(),
+            ShardConfig {
+                shards: 1,
+                batch_capacity: 1,
+                ..ShardConfig::default()
+            },
+        )),
         Box::new(ShardedAdapter::new(
             "sharded(2×4)",
             init,

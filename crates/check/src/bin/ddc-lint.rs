@@ -120,13 +120,7 @@ fn main() {
                     eprintln!("ddc-lint:   original rationale: {}", a.rationale);
                 }
             }
-            eprintln!(
-                "ddc-lint: {} blocking, {} waived, {} stale, {} expired (PR {current_pr})",
-                report.blocking.len(),
-                report.waived.len(),
-                report.stale.len(),
-                report.expired.len()
-            );
+            eprintln!("ddc-lint: {}", report.summary());
             std::process::exit(if report.is_clean() { 0 } else { 1 });
         }
         Err(e) => {

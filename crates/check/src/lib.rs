@@ -33,7 +33,7 @@ mod serve_fuzz;
 
 pub use adapters::{
     engine_roster, CheckEngine, DdcAdapter, DurableAdapter, FixedAdapter, GrowableAdapter,
-    GrowableDenseAdapter, ShardedAdapter, SharedAdapter,
+    GrowableDenseAdapter, ShardedAdapter,
 };
 pub use buggy::{roster_with_bug, OffByOneEngine};
 pub use crash::{corruption_divergence, crash_sweep, crash_sweep_with, CrashSweepReport};

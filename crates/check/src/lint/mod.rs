@@ -130,6 +130,8 @@ pub struct LintReport {
     pub expired: Vec<usize>,
     /// The parsed allowlist.
     pub entries: Vec<AllowEntry>,
+    /// The PR number the leases were checked against.
+    pub current_pr: u64,
 }
 
 impl LintReport {
@@ -137,6 +139,29 @@ impl LintReport {
     /// fully used allowlist.
     pub fn is_clean(&self) -> bool {
         self.blocking.is_empty() && self.stale.is_empty() && self.expired.is_empty()
+    }
+
+    /// Entries whose lease ends with the current PR: still waiving now,
+    /// expired once the counter moves on. Informational, never blocking.
+    pub fn expiring_next(&self) -> usize {
+        self.entries
+            .iter()
+            .filter(|a| a.expires == self.current_pr)
+            .count()
+    }
+
+    /// The one-line run summary both lint front ends print.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} blocking, {} waived, {} stale, {} expired, {} expiring at PR {} (now PR {})",
+            self.blocking.len(),
+            self.waived.len(),
+            self.stale.len(),
+            self.expired.len(),
+            self.expiring_next(),
+            self.current_pr + 1,
+            self.current_pr
+        )
     }
 }
 
@@ -177,6 +202,7 @@ pub fn run_lints(
         stale,
         expired,
         entries,
+        current_pr,
     })
 }
 
@@ -584,6 +610,46 @@ impl B {
     }
 
     #[test]
+    fn summary_counts_leases_expiring_next_pr() {
+        let entries = parse_allowlist(
+            "no-unwrap crates/core/src/a.rs expires=15 one\n\
+             no-unwrap crates/core/src/a.rs expires=15 two\n\
+             no-unwrap crates/core/src/a.rs expires=16 later\n\
+             no-unwrap crates/core/src/a.rs expires=14 gone\n",
+        )
+        .expect("parses");
+        let r = LintReport {
+            blocking: vec![],
+            waived: vec![],
+            stale: vec![],
+            expired: vec![3],
+            entries,
+            current_pr: 15,
+        };
+        assert_eq!(r.expiring_next(), 2);
+        assert_eq!(
+            r.summary(),
+            "0 blocking, 0 waived, 0 stale, 1 expired, 2 expiring at PR 16 (now PR 15)"
+        );
+        assert!(!r.is_clean(), "look-ahead must not mask the expired lease");
+    }
+
+    #[test]
+    fn committed_allowlist_rationales_exclude_the_file_header() {
+        let text = include_str!("../../../../lint-allow.txt");
+        let entries = parse_allowlist(text).expect("committed allowlist parses");
+        assert!(!entries.is_empty());
+        for a in &entries {
+            assert!(
+                !a.rationale.contains("rule path expires=<PR> needle"),
+                "line {}: rationale swallowed the file header: {}",
+                a.line,
+                a.rationale
+            );
+        }
+    }
+
+    #[test]
     fn allowlist_rejects_missing_expires() {
         assert!(parse_allowlist("no-unwrap crates/core/src/a.rs some needle\n").is_err());
         assert!(parse_allowlist("no-unwrap crates/core/src/a.rs expires=x needle\n").is_err());
@@ -619,6 +685,7 @@ impl B {
             stale: vec![],
             expired: vec![],
             entries: vec![],
+            current_pr: 15,
         };
         let j = report_json(&r);
         assert!(j.contains("\\\"x\\\""), "{j}");

@@ -117,13 +117,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             out.push_str(&format!("  original rationale: {}\n", a.rationale));
         }
     }
-    out.push_str(&format!(
-        "{} blocking, {} waived, {} stale, {} expired (PR {current_pr})",
-        report.blocking.len(),
-        report.waived.len(),
-        report.stale.len(),
-        report.expired.len()
-    ));
+    out.push_str(&report.summary());
     if report.is_clean() {
         Ok(out)
     } else {

@@ -70,17 +70,21 @@ pub struct DdcEngine<G: AbelianGroup> {
     tree: DdcTree<G>,
 }
 
+/// The power-of-two tree side covering `shape`'s largest dimension. A
+/// [`Shape`] has at least one dimension and none of size zero, so the
+/// fold from 1 is exactly that maximum.
+fn covering_side(shape: &Shape) -> usize {
+    shape
+        .dims()
+        .iter()
+        .fold(1, |side, &n| side.max(n))
+        .next_power_of_two()
+}
+
 impl<G: AbelianGroup> DdcEngine<G> {
     /// An all-zero cube of `shape` with the given configuration.
     pub fn with_config(shape: Shape, config: DdcConfig) -> Self {
-        let side = shape
-            .dims()
-            .iter()
-            .copied()
-            .max()
-            .expect("non-empty shape")
-            .next_power_of_two();
-        let tree = DdcTree::new(shape.ndim(), side, config);
+        let tree = DdcTree::new(shape.ndim(), covering_side(&shape), config);
         Self { shape, tree }
     }
 
@@ -102,15 +106,7 @@ impl<G: AbelianGroup> DdcEngine<G> {
     /// Builds from an array under an explicit configuration, using the
     /// bottom-up bulk constructor (`O(d · N log n)` cell visits).
     pub fn from_array_with(a: &NdArray<G>, config: DdcConfig) -> Self {
-        let side = a
-            .shape()
-            .dims()
-            .iter()
-            .copied()
-            .max()
-            .expect("non-empty shape")
-            .next_power_of_two();
-        let tree = DdcTree::from_array_sized(a, side, config);
+        let tree = DdcTree::from_array_sized(a, covering_side(a.shape()), config);
         Self {
             shape: a.shape().clone(),
             tree,

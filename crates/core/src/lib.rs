@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod concurrent;
 mod config;
 mod engine;
 mod flat_face;
@@ -36,7 +35,6 @@ mod tree;
 pub mod vfs;
 pub mod wal;
 
-pub use concurrent::SharedCube;
 pub use config::{DdcConfig, LeafBackend, Mode, PagerConfig, WalConfig, DEFAULT_PAGE_BYTES};
 pub use engine::DdcEngine;
 pub use growth::GrowableCube;

@@ -1,9 +1,9 @@
 //! A sharded concurrent cube: dimension-0 partitioning with write batching.
 //!
-//! [`SharedCube`](crate::SharedCube) serializes every operation behind one
-//! `RwLock`, so aggregate read throughput stops scaling as soon as a
-//! writer stalls the lock. [`ShardedCube`] removes that single choke
-//! point:
+//! One `RwLock` around a whole cube stops read throughput from scaling
+//! as soon as a writer stalls the lock. [`ShardedCube`] removes that
+//! single choke point (and with one shard and `batch_capacity: 1` it *is*
+//! that single write-through lock):
 //!
 //! * The cube is split along **dimension 0** into `S` contiguous slabs,
 //!   each backed by its own independently locked [`DdcEngine`].
@@ -12,9 +12,8 @@
 //!   [`AbelianGroup`] addition commutes) and applied under a *single*
 //!   exclusive acquisition — group commit.
 //! * Prefix/range queries decompose into the ≤ `2^d` Figure-4 prefix
-//!   terms and fan out across the shards whose slab intersects the
-//!   query, optionally on [`std::thread::scope`], combining the partial
-//!   sums with the group operation.
+//!   terms and visit the shards whose slab intersects the query in
+//!   turn, combining the partial sums with the group operation.
 //! * Each slab is an overlay box of the cube (§3.1): next to its engine
 //!   it keeps its **row-sum group along dimension 0**, the `(d − 1)`-
 //!   dimensional sums of its whole rows. A term that covers the slab in
@@ -60,7 +59,7 @@
 //! [`try_update`]: ShardedCube::try_update
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{
@@ -98,11 +97,6 @@ pub struct ShardConfig {
     /// Queue length that triggers a group commit. `1` degenerates to
     /// write-through locking.
     pub batch_capacity: usize,
-    /// Fan queries out on `std::thread::scope` instead of visiting
-    /// shards sequentially. Worth it for expensive per-shard work
-    /// (large `d`, cold caches); for microsecond queries the spawn cost
-    /// dominates, so this defaults to off.
-    pub parallel_queries: bool,
     /// Hard bound on a shard's write queue. A healthy shard commits
     /// inline before ever hitting it; a quarantined or failed shard
     /// rejects once full ([`TryUpdateError::QueueFull`]) instead of
@@ -118,7 +112,6 @@ impl Default for ShardConfig {
         Self {
             shards: 4,
             batch_capacity: 128,
-            parallel_queries: false,
             queue_capacity: 4096,
             max_restarts: 5,
         }
@@ -212,8 +205,6 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
     /// Successful commits that ended a quarantine.
     pub worker_restarts: u64,
-    /// Entries replayed into this shard by crash recovery.
-    pub records_replayed: u64,
 }
 
 /// Per-shard counters. *Untracked* atomics on purpose: metrics never
@@ -231,7 +222,6 @@ struct ShardMetrics {
     ops_rejected: crate::sync::untracked::AtomicU64,
     worker_panics: crate::sync::untracked::AtomicU64,
     worker_restarts: crate::sync::untracked::AtomicU64,
-    records_replayed: crate::sync::untracked::AtomicU64,
 }
 
 /// Supervisor state of one shard, kept under the queue lock so health
@@ -441,29 +431,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         }
     }
 
-    /// Rebuilds a sharded cube from recovered entries (e.g. WAL recovery
-    /// output rebased to physical coordinates), attributing each replayed
-    /// record to its owning shard's `records_replayed` metric.
-    pub fn from_recovered(
-        shape: Shape,
-        config: DdcConfig,
-        shard_config: ShardConfig,
-        entries: &[(Vec<usize>, G)],
-    ) -> Self {
-        let cube = Self::new(shape, config, shard_config);
-        for (point, value) in entries {
-            cube.shape.check_point(point);
-            let idx = cube.owner_index(point[0]);
-            cube.shards[idx]
-                .metrics
-                .records_replayed
-                .fetch_add(1, Ordering::Relaxed);
-            cube.update(point, *value);
-        }
-        cube.flush();
-        cube
-    }
-
     /// Number of shards actually in use (after clamping).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -502,8 +469,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
     /// This is the infallible facade over [`ShardedCube::try_update`]: a
     /// rejected delta (full queue on a quarantined shard, or a failed
     /// shard) is *shed* after being counted in `ops_rejected`. Callers
-    /// that must not lose writes use `try_update` /
-    /// [`ShardedCube::update_timeout`] and handle the error.
+    /// that must not lose writes use `try_update` and handle the error.
     pub fn update(&self, point: &[usize], delta: G) {
         let _ = self.try_update(point, delta);
     }
@@ -523,26 +489,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         let outcome = self.enqueue_locked(idx, shard, &mut queue, local, delta);
         shard.pending.store(queue.deltas.len(), Ordering::Release);
         outcome
-    }
-
-    /// Retries [`ShardedCube::try_update`] until `timeout` elapses,
-    /// yielding between attempts while the queue is full. A failed shard
-    /// rejects immediately — waiting cannot help it.
-    pub fn update_timeout(
-        &self,
-        point: &[usize],
-        delta: G,
-        timeout: Duration,
-    ) -> Result<(), TryUpdateError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_update(point, delta) {
-                Err(TryUpdateError::QueueFull { .. }) if Instant::now() < deadline => {
-                    std::thread::yield_now();
-                }
-                other => return other,
-            }
-        }
     }
 
     /// One enqueue under the queue lock: backpressure check, push,
@@ -860,32 +806,13 @@ impl<G: AbelianGroup> ShardedCube<G> {
         )
     }
 
-    /// `SUM(A[0,…,0] : A[point])`, fanned across the contributing shards.
+    /// `SUM(A[0,…,0] : A[point])`, summed over the contributing shards.
     pub fn query_prefix(&self, point: &[usize]) -> G {
         self.shape.check_point(point);
-        if self.shard_config.parallel_queries && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.shard_prefix(shard, point)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&self.shards)
-                    // A panicked reader thread is not fatal: redo that
-                    // shard's read on the caller thread (reads are pure).
-                    .filter_map(|(h, shard)| {
-                        h.join().unwrap_or_else(|_| self.shard_prefix(shard, point))
-                    })
-                    .fold(G::ZERO, |acc, p| acc.add(p))
-            })
-        } else {
-            self.shards
-                .iter()
-                .filter_map(|shard| self.shard_prefix(shard, point))
-                .fold(G::ZERO, |acc, p| acc.add(p))
-        }
+        self.shards
+            .iter()
+            .filter_map(|shard| self.shard_prefix(shard, point))
+            .fold(G::ZERO, |acc, p| acc.add(p))
     }
 
     /// Sum over `region`: the ≤ `2^d` Figure-4 prefix terms, each term
@@ -897,25 +824,10 @@ impl<G: AbelianGroup> ShardedCube<G> {
             .into_iter()
             .map(|t| (t.sign, t.corner))
             .collect();
-        if self.shard_config.parallel_queries && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(|| self.shard_terms(shard, &terms)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&self.shards)
-                    .map(|(h, shard)| h.join().unwrap_or_else(|_| self.shard_terms(shard, &terms)))
-                    .fold(G::ZERO, |acc, p| acc.add(p))
-            })
-        } else {
-            self.shards
-                .iter()
-                .map(|shard| self.shard_terms(shard, &terms))
-                .fold(G::ZERO, |acc, p| acc.add(p))
-        }
+        self.shards
+            .iter()
+            .map(|shard| self.shard_terms(shard, &terms))
+            .fold(G::ZERO, |acc, p| acc.add(p))
     }
 
     /// One cell's value: served entirely by the owning shard.
@@ -970,7 +882,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
                 ops_rejected: shard.metrics.ops_rejected.load(Ordering::Relaxed),
                 worker_panics: shard.metrics.worker_panics.load(Ordering::Relaxed),
                 worker_restarts: shard.metrics.worker_restarts.load(Ordering::Relaxed),
-                records_replayed: shard.metrics.records_replayed.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -1054,11 +965,11 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
     fn metrics_text(&self) -> Option<String> {
         let mut out = String::from(
             "shard  rows          enqueued   applied  batches   queries     faces  rejected  \
-             depth^  panics  restarts  replayed  lock-held\n",
+             depth^  panics  restarts  lock-held\n",
         );
         for m in self.metrics() {
             out.push_str(&format!(
-                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>7.3}ms\n",
+                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>7.3}ms\n",
                 m.shard,
                 m.rows_lo,
                 m.rows_hi,
@@ -1071,7 +982,6 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
                 m.queue_depth_max,
                 m.worker_panics,
                 m.worker_restarts,
-                m.records_replayed,
                 m.lock_hold_nanos as f64 / 1e6,
             ));
         }
@@ -1218,7 +1128,6 @@ mod tests {
                 batch_capacity: 2,
                 queue_capacity: 4,
                 max_restarts: 10,
-                ..ShardConfig::default()
             },
         );
         c.fail_next_flushes(0, 2);
@@ -1261,7 +1170,6 @@ mod tests {
                 batch_capacity: 1,
                 queue_capacity: 2,
                 max_restarts: 0,
-                ..ShardConfig::default()
             },
         );
         c.fail_next_flushes(0, 1);
@@ -1274,74 +1182,6 @@ mod tests {
         c.try_update(&[7, 0], 3).unwrap();
         c.flush();
         assert_eq!(c.metrics()[1].ops_applied, 1);
-    }
-
-    #[test]
-    fn update_timeout_rejects_after_deadline() {
-        let c = ShardedCube::<i64>::new(
-            Shape::new(&[8, 4]),
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 1,
-                batch_capacity: 1,
-                queue_capacity: 1,
-                // The retry loop burns backoff fast; a huge budget keeps
-                // the shard quarantined (not failed) for the whole wait.
-                max_restarts: 1_000_000,
-                ..ShardConfig::default()
-            },
-        );
-        // Enough hook budget that the shard stays quarantined throughout.
-        c.fail_next_flushes(0, 1_000);
-        c.update(&[0, 0], 1); // panics, stays queued; queue now full
-        let err = c
-            .update_timeout(&[1, 0], 1, Duration::from_millis(5))
-            .unwrap_err();
-        assert!(matches!(err, TryUpdateError::QueueFull { .. }));
-        c.fail_next_flushes(0, 0);
-        c.update_timeout(&[1, 0], 1, Duration::from_millis(100))
-            .unwrap();
-        assert_eq!(c.query_prefix(&[7, 3]), 2);
-    }
-
-    #[test]
-    fn from_recovered_counts_replayed_records() {
-        let entries = vec![(vec![1usize, 1], 5i64), (vec![30, 2], 7), (vec![2, 3], -1)];
-        let c = ShardedCube::from_recovered(
-            Shape::new(&[32, 16]),
-            DdcConfig::dynamic(),
-            ShardConfig::with_shards(2),
-            &entries,
-        );
-        let m = c.metrics();
-        assert_eq!(m.iter().map(|s| s.records_replayed).sum::<u64>(), 3);
-        assert_eq!(m[0].records_replayed, 2);
-        assert_eq!(m[1].records_replayed, 1);
-        assert_eq!(c.query_prefix(&[31, 15]), 11);
-    }
-
-    #[test]
-    fn parallel_queries_agree_with_sequential() {
-        let seq = cube(4, 4);
-        let par = ShardedCube::<i64>::new(
-            Shape::new(&[32, 16]),
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 4,
-                batch_capacity: 4,
-                parallel_queries: true,
-                ..ShardConfig::default()
-            },
-        );
-        for i in 0..32 {
-            seq.update(&[i, i % 16], i as i64);
-            par.update(&[i, i % 16], i as i64);
-        }
-        for p in [[0usize, 0usize], [31, 15], [15, 8], [16, 0]] {
-            assert_eq!(seq.query_prefix(&p), par.query_prefix(&p));
-        }
-        let q = Region::new(&[3, 1], &[29, 14]);
-        assert_eq!(seq.query(&q), par.query(&q));
     }
 
     #[test]

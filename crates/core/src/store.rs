@@ -83,16 +83,6 @@ impl<T> MemStore<T> {
         }
     }
 
-    /// Appends another slab's slots wholesale (graft fast path),
-    /// returning the id offset its records landed at. The donor's free
-    /// list is carried over, re-based.
-    pub fn absorb(&mut self, other: MemStore<T>) -> u32 {
-        let off = self.slots.len() as u32;
-        self.slots.extend(other.slots);
-        self.free.extend(other.free.iter().map(|&id| id + off));
-        off
-    }
-
     /// Drains every slot in id order (paged conversion / compaction).
     pub fn into_slots(self) -> (Vec<Option<T>>, Vec<u32>) {
         (self.slots, self.free)

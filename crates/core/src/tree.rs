@@ -591,102 +591,6 @@ impl<G: AbelianGroup> DdcTree<G> {
         })
     }
 
-    /// Like [`DdcTree::from_array_sized`], but builds the `2^d` root
-    /// subtrees on separate threads. Each thread builds a standalone
-    /// fragment tree (arena indices are fragment-local); the main thread
-    /// grafts the fragments onto the final arenas with an index remap.
-    /// The subtrees are disjoint, so this is a straightforward
-    /// fork-join; speedup approaches the number of *populated* root
-    /// quadrants.
-    pub fn from_array_parallel(a: &NdArray<G>, side: usize, config: DdcConfig) -> Self {
-        let d = a.shape().ndim();
-        assert!(side.is_power_of_two());
-        assert!(
-            a.shape().dims().iter().all(|&n| n <= side),
-            "array {} exceeds side {side}",
-            a.shape()
-        );
-        let mut tree = Self::new(d, side, config);
-        if side <= tree.leaf_side() {
-            let lo = vec![0usize; d];
-            tree.root = tree.build_child(a, side, &lo);
-            return tree;
-        }
-        let k = side / 2;
-        let results: Vec<Option<(OverlayBox<G>, DdcTree<G>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..(1usize << d))
-                .map(|bi| {
-                    let config = &config;
-                    scope.spawn(move || {
-                        let box_lo: Vec<usize> = (0..d)
-                            .map(|i| if bi & (1 << i) != 0 { k } else { 0 })
-                            .collect();
-                        let obox = Self::scan_box(a, k, &box_lo, d, config)?;
-                        let mut frag = Self::new(d, k, *config);
-                        frag.root = frag.build_child(a, k, &box_lo);
-                        Some((obox, frag))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("builder thread panicked"))
-                .collect()
-        });
-        let id = tree.alloc_node();
-        let base = (id as usize) << d;
-        let mut any = false;
-        for (bi, r) in results.into_iter().enumerate() {
-            if let Some((obox, frag)) = r {
-                any = true;
-                let child = tree.graft(frag);
-                tree.boxes[base + bi] = Some(obox);
-                tree.children[base + bi] = child;
-            }
-        }
-        if any {
-            tree.root = ChildRef::node(id);
-        } else {
-            tree.free_node(id);
-        }
-        tree
-    }
-
-    /// Appends a fragment tree's arenas onto ours, remapping every
-    /// reference by the arena offsets; returns the fragment's re-based
-    /// root. The fragment must share our dimensionality.
-    fn graft(&mut self, frag: DdcTree<G>) -> ChildRef {
-        debug_assert_eq!(frag.d, self.d);
-        let stride = self.stride();
-        let node_off = (self.children.len() / stride) as u32;
-        let leaf_off = self.leaves.slots() as u32;
-        let remap = |c: ChildRef| -> ChildRef {
-            if c.is_empty() {
-                c
-            } else if c.is_leaf() {
-                ChildRef::leaf(c.index() as u32 + leaf_off)
-            } else {
-                ChildRef::node(c.index() as u32 + node_off)
-            }
-        };
-        let root = remap(frag.root);
-        self.children
-            .extend(frag.children.iter().map(|&c| remap(c)));
-        self.boxes.extend(frag.boxes);
-        // Fragments are freshly built, hence always on the slab; grafting
-        // targets freshly built trees too (paging is enabled only after
-        // construction), so the wholesale slab append is the only arm.
-        match (&mut self.leaves, frag.leaves) {
-            (LeafArena::Mem(dst), LeafArena::Mem(src)) => {
-                dst.absorb(src);
-            }
-            _ => panic!("graft requires slab leaf arenas on both sides"),
-        }
-        self.node_free
-            .extend(frag.node_free.iter().map(|&id| id + node_off));
-        root
-    }
-
     /// Dimensionality `d`.
     pub fn ndim(&self) -> usize {
         self.d
@@ -1785,23 +1689,6 @@ mod tests {
         assert_eq!(ss.nodes, 3);
         assert_eq!(ss.boxes, 3);
         assert_eq!(ss.leaf_blocks, 1);
-    }
-
-    #[test]
-    fn parallel_build_equals_sequential() {
-        let shape = Shape::cube(2, 64);
-        let a = NdArray::from_fn(shape, |p| ((p[0] * 31 + p[1] * 7) % 23) as i64 - 11);
-        let seq = DdcTree::from_array_sized(&a, 64, DdcConfig::dynamic());
-        let par = DdcTree::from_array_parallel(&a, 64, DdcConfig::dynamic());
-        for p in a.shape().iter_points() {
-            assert_eq!(par.prefix_sum(&p), seq.prefix_sum(&p), "{p:?}");
-        }
-        assert_eq!(par.check_invariants(), a.total());
-        par.check_arena();
-        // Degenerate: tiny array below the leaf-block side.
-        let tiny = NdArray::from_rows(&[vec![1i64, 2], vec![3, 4]]);
-        let par_tiny = DdcTree::from_array_parallel(&tiny, 2, DdcConfig::dynamic());
-        assert_eq!(par_tiny.prefix_sum(&[1, 1]), 10);
     }
 
     #[test]

@@ -167,9 +167,9 @@ for_cases! {
         assert_eq!(tree.check_invariants(), 9 * points.len() as i64);
     }
 
-    /// Build-path equivalence: a tree grown update-by-update, one built
-    /// by the sequential bulk path, and one by the parallel bulk path
-    /// land on identical answers and pass the same arena audit.
+    /// Build-path equivalence: a tree grown update-by-update and one
+    /// built by the bulk path land on identical answers and pass the
+    /// same arena audit.
     fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
         use ddc_array::NdArray;
         let d = rng.gen_range(1usize..=2);
@@ -186,8 +186,7 @@ for_cases! {
         }
         let dense = NdArray::from_fn(shape, |p| cells.get(p).copied().unwrap_or(0));
         let bulk = DdcTree::from_array_sized(&dense, side, config);
-        let parallel = DdcTree::from_array_parallel(&dense, side, config);
-        for t in [&incremental, &bulk, &parallel] {
+        for t in [&incremental, &bulk] {
             t.check_arena();
             t.check_invariants();
         }
@@ -195,7 +194,6 @@ for_cases! {
             let x: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
             let want = incremental.prefix_sum(&x);
             assert_eq!(bulk.prefix_sum(&x), want, "bulk prefix at {x:?}");
-            assert_eq!(parallel.prefix_sum(&x), want, "parallel prefix at {x:?}");
         }
     }
 }

@@ -184,7 +184,6 @@ fn backpressure_answers_429_only_when_shard_queues_are_full_and_loses_no_acked_u
             queue_capacity: QUEUE,
             // Keep the shard quarantined (429), never failed (503).
             max_restarts: 1_000_000,
-            ..ShardConfig::default()
         },
     );
     let (server, backend) = start(cube, 2);

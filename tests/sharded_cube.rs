@@ -1,10 +1,11 @@
-//! Concurrency tests for the sharded cube (the tentpole of the
-//! `core::shard` work): a lockstep differential replay proving the
-//! sharded protocol is observably identical to an unsharded engine, and
-//! a reader/writer stress test proving no update is lost or duplicated
-//! under contention.
+//! Concurrency tests for the sharded cube: a lockstep differential
+//! replay proving the sharded protocol is observably identical to an
+//! unsharded engine, a reader/writer stress test proving no update is
+//! lost or duplicated under contention, and a single-shard test proving
+//! concurrent reads never observe a torn or receding total.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
 use ddc_core::{DdcConfig, DdcEngine, ShardConfig, ShardedCube, TryUpdateError};
@@ -36,19 +37,6 @@ for_cases! {
         let mut reference = DdcEngine::<i64>::dynamic(shape);
         let independent = trace.replay(&mut reference);
         assert_eq!(shadowed, independent, "shards={shards} batch={batch}");
-    }
-
-    /// Same lockstep replay with parallel query fan-out enabled.
-    fn parallel_fanout_replay_is_bit_identical(rng, cases = 8) {
-        let shape = Shape::new(&[24, 12]);
-        let trace = Trace::generate(&shape, 120, 0.5, rng);
-        let sharded = ShardedCube::<i64>::new(
-            shape.clone(),
-            DdcConfig::dynamic(),
-            ShardConfig { shards: 4, batch_capacity: 16, parallel_queries: true, ..ShardConfig::default() },
-        );
-        let mut lockstep = ShadowEngine::new(sharded, DdcEngine::<i64>::dynamic(shape));
-        let _ = trace.replay(&mut lockstep);
     }
 }
 
@@ -148,6 +136,59 @@ fn stress_readers_and_writers_preserve_every_update() {
     // The metrics must account for every update exactly once.
     let applied: u64 = cube.metrics().iter().map(|m| m.ops_applied).sum();
     assert_eq!(applied, (WRITERS * UPDATES_PER_WRITER) as u64);
+}
+
+/// Read-through linearizability on one shard: while a writer adds +1
+/// down the diagonal, every concurrent full-cube total lies in `0..=64`
+/// and never goes backwards — at batch 1 (write-through) and at batch 64
+/// (the deltas sit queued until one group commit lands them all).
+#[test]
+fn readers_and_writer_interleave_consistently() {
+    for batch_capacity in [1usize, 64] {
+        let shape = Shape::cube(2, 64);
+        let cube = ShardedCube::<i64>::new(
+            shape.clone(),
+            DdcConfig::dynamic(),
+            ShardConfig {
+                shards: 1,
+                batch_capacity,
+                ..ShardConfig::default()
+            },
+        );
+        let full = Region::full(&shape);
+        // Writer and readers leave the barrier together, so the reads
+        // overlap the writes instead of finishing before they start.
+        let start = Barrier::new(5);
+        let (cube_ref, full_ref, start_ref) = (&cube, &full, &start);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                start_ref.wait();
+                for i in 0..64usize {
+                    cube_ref.update(&[i, i], 1);
+                }
+            });
+            for _ in 0..4 {
+                scope.spawn(move || {
+                    start_ref.wait();
+                    let mut last = 0i64;
+                    for _ in 0..200 {
+                        let t = cube_ref.query(full_ref);
+                        assert!(
+                            (0..=64).contains(&t),
+                            "batch {batch_capacity}: torn read {t}"
+                        );
+                        assert!(
+                            t >= last,
+                            "batch {batch_capacity}: total went backwards: {last} → {t}"
+                        );
+                        last = t;
+                    }
+                });
+            }
+        });
+        assert_eq!(cube.query(&full), 64, "batch {batch_capacity}");
+        assert_eq!(cube.metrics()[0].ops_applied, 64, "batch {batch_capacity}");
+    }
 }
 
 /// `update_batch` agrees with one-at-a-time updates and a plain engine.
@@ -276,7 +317,6 @@ fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
             batch_capacity: 8,
             queue_capacity: CAPACITY,
             max_restarts: u32::MAX, // quarantined forever, never failed
-            ..ShardConfig::default()
         },
     );
     // Shard 0 (rows 0..8) panics on every commit for the whole feed.
